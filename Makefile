@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check build test race vet vet-unsafeptr apicheck bench-serve bench bench-query bench-par bench-shard bench-codec bench-vm bench-append bench-succinct bench-succinct-smoke bench-diff bench-paper fuzz-smoke
+.PHONY: check build test race vet vet-unsafeptr apicheck refbench-test bench-serve bench bench-query bench-par bench-shard bench-codec bench-vm bench-append bench-succinct bench-succinct-smoke bench-diff bench-paper fuzz-smoke
 
-check: vet vet-unsafeptr apicheck build race bench bench-succinct-smoke bench-diff-advisory ## tier-1: vet + deprecated-API gate + build + race-clean tests + bench smoke
+check: vet vet-unsafeptr apicheck build race refbench-test bench bench-succinct-smoke bench-diff-advisory ## tier-1: vet + deprecated-API gate + build + race-clean tests + harness tests + bench smoke
 
 vet:
 	$(GO) vet ./...
@@ -34,6 +34,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The reference benchmark harness is a module of its own (refbench/go.mod),
+# so `go test ./...` at the root does not reach its tests.
+refbench-test:
+	cd refbench && $(GO) test .
 
 # Serving-throughput baseline (recorded in EXPERIMENTS.md).
 bench-serve:

@@ -21,6 +21,12 @@ type Engine struct {
 	// so correlated nested FLWORs (the Q8/Q9 shape) build the join once
 	// instead of rescanning per outer binding.
 	joinIdx map[*xquery.Cmp]*joinIndex
+	// plans memoizes PlanFLWOR per FLWOR node and targets memoizes
+	// summaryTargets per origin (the document or one summary node, the
+	// FOR-bound variable case), so the per-tuple path never re-plans or
+	// re-resolves. Like joinIdx they live for one evaluation.
+	plans   map[*xquery.FLWOR]*FLWORPlan
+	targets map[targetKey][]*storage.SummaryNode
 	// ctx, when non-nil, is polled in the evaluation loop so timeouts
 	// and client disconnects abort long evaluations mid-stream.
 	ctx      context.Context
@@ -50,7 +56,18 @@ type Engine struct {
 // New returns an engine over the store. Evaluation is serial until
 // WithParallelism grants a worker budget.
 func New(s *storage.Store) *Engine {
-	return &Engine{store: s, joinIdx: map[*xquery.Cmp]*joinIndex{}, par: 1}
+	e := &Engine{store: s, par: 1}
+	e.reset()
+	return e
+}
+
+// reset drops the per-evaluation memos and cancellation state, so an
+// Engine reused for another evaluation starts clean.
+func (e *Engine) reset() {
+	e.joinIdx = map[*xquery.Cmp]*joinIndex{}
+	e.plans = map[*xquery.FLWOR]*FLWORPlan{}
+	e.targets = map[targetKey][]*storage.SummaryNode{}
+	e.canceled = nil
 }
 
 // WithContext arms the engine's cancellation checks with ctx and
@@ -105,8 +122,7 @@ func (e *Engine) QueryContext(ctx context.Context, src string) (*Result, error) 
 
 // Eval evaluates a parsed query.
 func (e *Engine) Eval(expr xquery.Expr) (*Result, error) {
-	e.joinIdx = map[*xquery.Cmp]*joinIndex{}
-	e.canceled = nil
+	e.reset()
 	if e.ctx != nil {
 		// Check once up front so an already-expired deadline fails
 		// deterministically, before any evaluation work.

@@ -8,34 +8,48 @@ import (
 	"xquec/internal/xquery"
 )
 
-// pushdown is a WHERE conjunct statically assigned to a FOR clause: it
+// Pushdown is a WHERE conjunct statically assigned to a FOR clause: it
 // is applied while computing the clause's domain instead of as a
 // per-tuple filter. Each pushdown keeps the original conjunct so the
 // runtime can fall back to tuple-at-a-time evaluation when the
 // compressed-domain shape does not materialize (e.g. untracked summary
 // nodes).
-type pushdown struct {
-	conj *xquery.Cmp
+type Pushdown struct {
+	Conj *xquery.Cmp
 	// literal comparison: $v/rel op literal
-	isLit bool
-	rel   *xquery.PathExpr
-	op    string
-	lit   string
+	IsLit bool
+	Rel   *xquery.PathExpr
+	Op    string
+	Lit   string
 	// equality join: $v/relThis = $other/relOther
-	otherVar string
-	relThis  *xquery.PathExpr
-	relOther *xquery.PathExpr
+	OtherVar string
+	RelThis  *xquery.PathExpr
+	RelOther *xquery.PathExpr
 }
 
-// flworPlan is the static evaluation plan of one FLWOR.
-type flworPlan struct {
-	pushdowns map[int][]pushdown // clause index -> pushdowns
-	residual  []xquery.Expr      // conjuncts evaluated per tuple
+// FLWORPlan is the static evaluation plan of one FLWOR: the tree
+// walker, the VM compiler and Explain all read the same plan.
+type FLWORPlan struct {
+	Pushdowns [][]Pushdown  // clause index -> pushdowns, in plan order
+	Residual  []xquery.Expr // conjuncts evaluated per tuple
+}
+
+// PlanFLWOR returns the FLWOR's plan, computed once per query: a nested
+// FLWOR evaluated once per outer tuple (the Q8/Q9 shape) reuses it
+// instead of re-planning. The memo is keyed by the AST node, like
+// joinIdx, and reset with it at the start of every evaluation.
+func (e *Engine) PlanFLWOR(x *xquery.FLWOR) *FLWORPlan {
+	if plan, ok := e.plans[x]; ok {
+		return plan
+	}
+	plan := planFLWOR(x)
+	e.plans[x] = plan
+	return plan
 }
 
 // planFLWOR assigns WHERE conjuncts to FOR clauses.
-func planFLWOR(x *xquery.FLWOR) *flworPlan {
-	plan := &flworPlan{pushdowns: map[int][]pushdown{}}
+func planFLWOR(x *xquery.FLWOR) *FLWORPlan {
+	plan := &FLWORPlan{Pushdowns: make([][]Pushdown, len(x.Clauses))}
 	clauseOf := map[string]int{}
 	for i, c := range x.Clauses {
 		if !c.Let {
@@ -45,15 +59,15 @@ func planFLWOR(x *xquery.FLWOR) *flworPlan {
 	for _, conj := range splitConjuncts(x.Where) {
 		cmp, isCmp := conj.(*xquery.Cmp)
 		if !isCmp {
-			plan.residual = append(plan.residual, conj)
+			plan.Residual = append(plan.Residual, conj)
 			continue
 		}
 		assigned := false
 		// literal comparison on a FOR variable of this FLWOR
 		for v, ci := range clauseOf {
 			if rel, lit, op, ok := splitVarCmp(cmp, v); ok {
-				plan.pushdowns[ci] = append(plan.pushdowns[ci], pushdown{
-					conj: cmp, isLit: true, rel: rel, op: op, lit: lit,
+				plan.Pushdowns[ci] = append(plan.Pushdowns[ci], Pushdown{
+					Conj: cmp, IsLit: true, Rel: rel, Op: op, Lit: lit,
 				})
 				assigned = true
 				break
@@ -71,24 +85,24 @@ func planFLWOR(x *xquery.FLWOR) *flworPlan {
 				ri, rIn := clauseOf[rp.Var]
 				switch {
 				case lIn && (!rIn || li >= ri):
-					plan.pushdowns[li] = append(plan.pushdowns[li], pushdown{
-						conj: cmp, otherVar: rp.Var,
-						relThis:  &xquery.PathExpr{Var: ".", Steps: lp.Steps},
-						relOther: &xquery.PathExpr{Var: ".", Steps: rp.Steps},
+					plan.Pushdowns[li] = append(plan.Pushdowns[li], Pushdown{
+						Conj: cmp, OtherVar: rp.Var,
+						RelThis:  &xquery.PathExpr{Var: ".", Steps: lp.Steps},
+						RelOther: &xquery.PathExpr{Var: ".", Steps: rp.Steps},
 					})
 					assigned = true
 				case rIn:
-					plan.pushdowns[ri] = append(plan.pushdowns[ri], pushdown{
-						conj: cmp, otherVar: lp.Var,
-						relThis:  &xquery.PathExpr{Var: ".", Steps: rp.Steps},
-						relOther: &xquery.PathExpr{Var: ".", Steps: lp.Steps},
+					plan.Pushdowns[ri] = append(plan.Pushdowns[ri], Pushdown{
+						Conj: cmp, OtherVar: lp.Var,
+						RelThis:  &xquery.PathExpr{Var: ".", Steps: rp.Steps},
+						RelOther: &xquery.PathExpr{Var: ".", Steps: lp.Steps},
 					})
 					assigned = true
 				}
 			}
 		}
 		if !assigned {
-			plan.residual = append(plan.residual, conj)
+			plan.Residual = append(plan.Residual, conj)
 		}
 	}
 	return plan
@@ -127,14 +141,14 @@ func (e *Engine) evalFLWOR(x *xquery.FLWOR, env *scope) (Seq, error) {
 // evaluated inside RETURN/WHERE (which go through evalFLWOR) never fire
 // the top-level hook.
 func (e *Engine) flworEach(x *xquery.FLWOR, env *scope, emit func(Seq) error, hook func(storage.NodeID)) error {
-	plan := planFLWOR(x)
+	plan := e.PlanFLWOR(x)
 	var tuples []Seq // buffered return chunks when ordering
 	var keys []string
 
 	var walk func(ci int, env *scope) error
 	walk = func(ci int, env *scope) error {
 		if ci == len(x.Clauses) {
-			for _, c := range plan.residual {
+			for _, c := range plan.Residual {
 				ok, err := e.evalBool(c, env)
 				if err != nil {
 					return err
@@ -183,11 +197,11 @@ func (e *Engine) flworEach(x *xquery.FLWOR, env *scope, emit func(Seq) error, ho
 			sub.varSums[cl.Var] = sums
 			return walk(ci+1, sub)
 		}
-		pds := plan.pushdowns[ci]
+		pds := plan.Pushdowns[ci]
 		if ids == nil {
 			var fallbackFilters []xquery.Expr
 			for _, pd := range pds {
-				fallbackFilters = append(fallbackFilters, pd.conj)
+				fallbackFilters = append(fallbackFilters, pd.Conj)
 			}
 			for _, it := range seq {
 				sub := env.clone()
@@ -212,8 +226,8 @@ func (e *Engine) flworEach(x *xquery.FLWOR, env *scope, emit func(Seq) error, ho
 		cur := ids
 		var perTuple []xquery.Expr
 		for _, pd := range pds {
-			if pd.isLit {
-				owners, handled, err := e.matchOwners(sums, pd.rel, pd.op, pd.lit, e.par)
+			if pd.IsLit {
+				owners, handled, err := e.matchOwners(sums, pd.Rel, pd.Op, pd.Lit, e.par)
 				if err != nil {
 					return err
 				}
@@ -221,7 +235,7 @@ func (e *Engine) flworEach(x *xquery.FLWOR, env *scope, emit func(Seq) error, ho
 					cur = algebra.SemiJoinAncestorPar(e.store, cur, owners, e.par)
 					continue
 				}
-				perTuple = append(perTuple, pd.conj)
+				perTuple = append(perTuple, pd.Conj)
 				continue
 			}
 			// join pushdown: restrict to the partners of the other
@@ -234,7 +248,7 @@ func (e *Engine) flworEach(x *xquery.FLWOR, env *scope, emit func(Seq) error, ho
 				cur = restricted
 				continue
 			}
-			perTuple = append(perTuple, pd.conj)
+			perTuple = append(perTuple, pd.Conj)
 		}
 		for _, id := range cur {
 			sub := env.clone()
@@ -312,9 +326,9 @@ type joinIndex struct {
 
 // applyJoin restricts cur (the domain of this clause's variable) to the
 // join partners of the other variable's current binding.
-func (e *Engine) applyJoin(pd pushdown, cur algebra.NodeSet, sums []*storage.SummaryNode, env *scope) (algebra.NodeSet, bool, error) {
-	otherSeq, bound := env.vars[pd.otherVar]
-	otherSums := env.varSums[pd.otherVar]
+func (e *Engine) applyJoin(pd Pushdown, cur algebra.NodeSet, sums []*storage.SummaryNode, env *scope) (algebra.NodeSet, bool, error) {
+	otherSeq, bound := env.vars[pd.OtherVar]
+	otherSums := env.varSums[pd.OtherVar]
 	if !bound || len(otherSeq) != 1 || len(otherSums) == 0 || len(sums) == 0 {
 		return nil, false, nil
 	}
@@ -340,13 +354,13 @@ func (e *Engine) applyJoin(pd pushdown, cur algebra.NodeSet, sums []*storage.Sum
 }
 
 // joinIndexFor builds (or reuses) the join index for a comparison.
-func (e *Engine) joinIndexFor(pd pushdown, sums, otherSums []*storage.SummaryNode) (*joinIndex, bool, error) {
+func (e *Engine) joinIndexFor(pd Pushdown, sums, otherSums []*storage.SummaryNode) (*joinIndex, bool, error) {
 	key := sumFingerprint(sums) + "|" + sumFingerprint(otherSums)
-	if idx, ok := e.joinIdx[pd.conj]; ok && idx.key == key {
+	if idx, ok := e.joinIdx[pd.Conj]; ok && idx.key == key {
 		return idx, true, nil
 	}
-	thisConts, _, ok1 := e.relValueTarget(sums, pd.relThis)
-	otherConts, _, ok2 := e.relValueTarget(otherSums, pd.relOther)
+	thisConts, _, ok1 := e.relValueTarget(sums, pd.RelThis)
+	otherConts, _, ok2 := e.relValueTarget(otherSums, pd.RelOther)
 	if !ok1 || !ok2 || len(thisConts) == 0 || len(otherConts) == 0 {
 		return nil, false, nil
 	}
@@ -378,7 +392,7 @@ func (e *Engine) joinIndexFor(pd pushdown, sums, otherSums []*storage.SummaryNod
 	for k := range idx.byOther {
 		idx.byOther[k] = algebra.SortUnique(idx.byOther[k])
 	}
-	e.joinIdx[pd.conj] = idx
+	e.joinIdx[pd.Conj] = idx
 	return idx, true, nil
 }
 

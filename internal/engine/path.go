@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -178,62 +179,93 @@ func (e *Engine) summaryOf(id storage.NodeID) *storage.SummaryNode {
 
 var errNonNodePath = fmt.Errorf("engine: path step over non-node sequence")
 
-// summaryChildren returns the distinct summary children of sums
+// targetKey names one step resolved from one origin: a summary node
+// ID, or -1 for the virtual document node of absolute paths.
+type targetKey struct {
+	origin int32
+	axis   xquery.Axis
+	test   xquery.NodeTest
+	name   string
+}
+
+// summaryTargets returns the distinct summary children of sums
 // matching the step (child axis), or all matching descendants for the
 // descendant axis. fromDocument handles the virtual document node for
-// absolute paths.
+// absolute paths. Steps from the document or from a single origin (a
+// FOR-bound variable, re-resolved for every binding) are answered from
+// the engine's memo; callers treat the returned slice as read-only.
 func (e *Engine) summaryTargets(sums []*storage.SummaryNode, fromDocument bool, step xquery.Step) []*storage.SummaryNode {
+	k := targetKey{origin: -1, axis: step.Axis, test: step.Test, name: step.Name}
+	if !fromDocument {
+		if len(sums) != 1 {
+			return e.resolveTargets(sums, false, step)
+		}
+		k.origin = sums[0].ID
+	}
+	out, ok := e.targets[k]
+	if !ok {
+		out = e.resolveTargets(sums, fromDocument, step)
+		e.targets[k] = out
+	}
+	return out
+}
+
+// resolveTargets is summaryTargets without the memo.
+func (e *Engine) resolveTargets(sums []*storage.SummaryNode, fromDocument bool, step xquery.Step) []*storage.SummaryNode {
 	name := step.Name
 	if step.Test == xquery.TestAttr {
 		name = "@" + step.Name
 	}
-	match := func(sn *storage.SummaryNode) bool {
-		if step.Test == xquery.TestName && name == "*" {
-			return !strings.HasPrefix(sn.Tag, "@") && sn.Tag != "#text"
-		}
-		return sn.Tag == name
-	}
+	deep := step.Axis != xquery.AxisChild
 	var out []*storage.SummaryNode
-	seen := map[int32]bool{}
-	add := func(sn *storage.SummaryNode) {
-		if !seen[sn.ID] && match(sn) {
-			seen[sn.ID] = true
-			out = append(out, sn)
-		}
-	}
 	if fromDocument {
 		root := e.store.Sum.Root
-		if step.Axis == xquery.AxisChild {
-			add(root)
-		} else {
-			var walk func(sn *storage.SummaryNode)
-			walk = func(sn *storage.SummaryNode) {
-				add(sn)
-				for _, c := range sn.Children {
-					walk(c)
-				}
-			}
-			walk(root)
+		if stepMatches(root, step.Test, name) {
+			out = append(out, root)
+		}
+		if deep {
+			out = appendTargets(out, root, step.Test, name, true)
 		}
 		return out
 	}
 	for _, sn := range sums {
-		if step.Axis == xquery.AxisChild {
-			for _, c := range sn.Children {
-				add(c)
+		out = appendTargets(out, sn, step.Test, name, deep)
+	}
+	if len(sums) > 1 {
+		// Overlapping origins reach a descendant more than once: keep
+		// its first occurrence.
+		seen := make(map[int32]bool, len(out))
+		uniq := out[:0]
+		for _, sn := range out {
+			if !seen[sn.ID] {
+				seen[sn.ID] = true
+				uniq = append(uniq, sn)
 			}
-		} else {
-			var walk func(sn *storage.SummaryNode)
-			walk = func(sn *storage.SummaryNode) {
-				for _, c := range sn.Children {
-					add(c)
-					walk(c)
-				}
-			}
-			walk(sn)
+		}
+		out = uniq
+	}
+	return out
+}
+
+// appendTargets appends the children of sn (all descendants, in
+// pre-order, when deep) that match the node test.
+func appendTargets(out []*storage.SummaryNode, sn *storage.SummaryNode, test xquery.NodeTest, name string, deep bool) []*storage.SummaryNode {
+	for _, c := range sn.Children {
+		if stepMatches(c, test, name) {
+			out = append(out, c)
+		}
+		if deep {
+			out = appendTargets(out, c, test, name, true)
 		}
 	}
 	return out
+}
+
+func stepMatches(sn *storage.SummaryNode, test xquery.NodeTest, name string) bool {
+	if test == xquery.TestName && name == "*" {
+		return !strings.HasPrefix(sn.Tag, "@") && sn.Tag != "#text"
+	}
+	return sn.Tag == name
 }
 
 // applyStep applies one structural step (element or attribute test).
@@ -333,16 +365,19 @@ func childrenWithin(s *storage.Store, parents algebra.NodeSet, targets []*storag
 		return nil
 	}
 	if len(parents)*8 < extentSize {
-		tagSet := map[uint16]bool{}
+		// Targets are a handful of summary nodes: a linear scan of their
+		// tag codes in a stack slice beats building a set per call.
+		var buf [8]uint16
+		codes := buf[:0]
 		for _, sn := range targets {
 			if code, ok := s.Code(sn.Tag); ok {
-				tagSet[code] = true
+				codes = append(codes, code)
 			}
 		}
 		var out []storage.NodeID
 		for _, p := range parents {
 			for k := range s.Kids(p) {
-				if k.ID != 0 && tagSet[s.TagCodeOf(k.ID)] {
+				if k.ID != 0 && slices.Contains(codes, s.TagCodeOf(k.ID)) {
 					out = append(out, k.ID)
 				}
 			}
@@ -446,7 +481,11 @@ func (e *Engine) applyPreds(nodes algebra.NodeSet, preds []xquery.Expr, env *sco
 		// Value predicate: container fast path, else per-node. A
 		// precomputed conjunct replays its (owners, ok, err) in predicate
 		// order, so error and fallback selection match the serial loop.
-		if pc := pre[i]; pc != nil {
+		var pc *conjunctOwners
+		if pre != nil {
+			pc = pre[i]
+		}
+		if pc != nil {
 			if pc.err != nil {
 				return nil, pc.err
 			}
@@ -491,17 +530,21 @@ type conjunctOwners struct {
 // precomputeConjunctOwners fans the container fast paths of independent
 // `relPath op literal` conjuncts out across the worker pool. It returns
 // a sparse slice aligned with preds (nil = not eligible, evaluate as
-// before). Only pure container/summary reads run on the workers; every
-// result is replayed in predicate order by the caller, so evaluation
-// order, error selection and fallback decisions are serial-identical.
+// before), or nil when nothing fans out. Only container scans run on
+// the workers; every result is replayed in predicate order by the
+// caller, so evaluation order, error selection and fallback decisions
+// are serial-identical.
 func (e *Engine) precomputeConjunctOwners(preds []xquery.Expr, sums []*storage.SummaryNode) []*conjunctOwners {
 	if e.par <= 1 || len(sums) == 0 || len(preds) < 2 {
-		return make([]*conjunctOwners, len(preds))
+		return nil
 	}
+	// Containers are resolved here, on the calling goroutine, because
+	// summary resolution writes the engine's memo; the workers only scan.
 	type job struct {
-		idx     int
-		rel     *xquery.PathExpr
-		op, lit string
+		idx                int
+		conts              []*storage.Container
+		complete, resolved bool
+		op, lit            string
 	}
 	var jobs []job
 	for i, pred := range preds {
@@ -510,13 +553,15 @@ func (e *Engine) precomputeConjunctOwners(preds []xquery.Expr, sums []*storage.S
 			continue
 		}
 		if rel, lit, op, ok := splitCmp(cmp); ok {
-			jobs = append(jobs, job{idx: i, rel: rel, op: op, lit: lit})
+			j := job{idx: i, op: op, lit: lit}
+			j.conts, j.complete, j.resolved = e.relValueTarget(sums, rel)
+			jobs = append(jobs, j)
 		}
 	}
-	out := make([]*conjunctOwners, len(preds))
 	if len(jobs) < 2 {
-		return out
+		return nil
 	}
+	out := make([]*conjunctOwners, len(preds))
 	inner := e.par / len(jobs)
 	if inner < 1 {
 		inner = 1
@@ -529,7 +574,9 @@ func (e *Engine) precomputeConjunctOwners(preds []xquery.Expr, sums []*storage.S
 	_ = xpar.ForEach(workers, len(jobs), func(k int) error {
 		j := jobs[k]
 		pc := &conjunctOwners{}
-		pc.owners, pc.ok, pc.err = e.matchOwners(sums, j.rel, j.op, j.lit, inner)
+		if j.resolved {
+			pc.owners, pc.ok, pc.err = e.matchOwnersConts(j.conts, j.complete, j.op, j.lit, inner)
+		}
 		out[j.idx] = pc
 		return nil
 	})

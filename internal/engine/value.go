@@ -11,7 +11,7 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -445,13 +445,19 @@ func compareAtoms(op, a, b string) bool {
 // false if the sequence holds non-node items.
 func nodeSeq(s Seq) ([]storage.NodeID, bool) {
 	out := make([]storage.NodeID, 0, len(s))
+	ordered := true
 	for _, it := range s {
 		id, isNode := it.(storage.NodeID)
 		if !isNode {
 			return nil, false
 		}
+		if len(out) > 0 && id < out[len(out)-1] {
+			ordered = false
+		}
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	if !ordered {
+		slices.Sort(out)
+	}
 	return out, true
 }

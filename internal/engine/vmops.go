@@ -109,53 +109,11 @@ func (e *Engine) SemiJoinOwners(cur, owners algebra.NodeSet) algebra.NodeSet {
 	return algebra.SemiJoinAncestorPar(e.store, cur, owners, e.par)
 }
 
-// PushdownInfo is the exported view of a planned WHERE-conjunct
-// pushdown (see the pushdown type).
-type PushdownInfo struct {
-	Conj *xquery.Cmp
-	// literal comparison: $v/rel op literal
-	IsLit bool
-	Rel   *xquery.PathExpr
-	Op    string
-	Lit   string
-	// equality join: $v/relThis = $other/relOther
-	OtherVar string
-	RelThis  *xquery.PathExpr
-	RelOther *xquery.PathExpr
-}
-
-// FLWORPlanInfo is the exported view of planFLWOR's clause assignment.
-type FLWORPlanInfo struct {
-	Pushdowns map[int][]PushdownInfo // clause index -> pushdowns, in plan order
-	Residual  []xquery.Expr          // conjuncts evaluated per tuple
-}
-
-// PlanFLWOR exposes the FLWOR pushdown planner so the VM compiler
-// assigns WHERE conjuncts to clauses exactly as the tree walker does.
-func PlanFLWOR(x *xquery.FLWOR) FLWORPlanInfo {
-	plan := planFLWOR(x)
-	out := FLWORPlanInfo{Pushdowns: map[int][]PushdownInfo{}, Residual: plan.residual}
-	for ci, pds := range plan.pushdowns {
-		infos := make([]PushdownInfo, len(pds))
-		for i, pd := range pds {
-			infos[i] = PushdownInfo{
-				Conj: pd.conj, IsLit: pd.isLit, Rel: pd.rel, Op: pd.op, Lit: pd.lit,
-				OtherVar: pd.otherVar, RelThis: pd.relThis, RelOther: pd.relOther,
-			}
-		}
-		out.Pushdowns[ci] = infos
-	}
-	return out
-}
-
 // ApplyJoinPushdown restricts cur to the join partners of the other
 // variable's current binding (applyJoin), building or reusing the
 // engine's per-comparison join index.
-func (e *Engine) ApplyJoinPushdown(pd PushdownInfo, cur algebra.NodeSet, sums []*storage.SummaryNode, env *Env) (algebra.NodeSet, bool, error) {
-	return e.applyJoin(pushdown{
-		conj: pd.Conj, isLit: pd.IsLit, rel: pd.Rel, op: pd.Op, lit: pd.Lit,
-		otherVar: pd.OtherVar, relThis: pd.RelThis, relOther: pd.RelOther,
-	}, cur, sums, env.s)
+func (e *Engine) ApplyJoinPushdown(pd Pushdown, cur algebra.NodeSet, sums []*storage.SummaryNode, env *Env) (algebra.NodeSet, bool, error) {
+	return e.applyJoin(pd, cur, sums, env.s)
 }
 
 // CheckCancel polls the engine's context (amortized); the VM calls it

@@ -156,20 +156,30 @@ func (s *Store) IsAttr(id NodeID) bool { return strings.HasPrefix(s.TagOf(id), "
 
 // Kids yields the node's children in document order: element and
 // attribute children by ID, immediate text values by value ref.
+//
+// Kids must stay inlinable, with the walk in eachKid, which never lets
+// yield escape: a `for k := range s.Kids(id)` loop then compiles to a
+// direct eachKid call whose loop-body closure lives on the caller's
+// stack, so iterating kids allocates nothing (see DESIGN.md, allocation
+// discipline; `go build -gcflags=-m ./internal/storage` reports it).
 func (s *Store) Kids(id NodeID) iter.Seq[Kid] {
+	return func(yield func(Kid) bool) { s.eachKid(id, yield) }
+}
+
+// eachKid is the body of Kids on either backend.
+func (s *Store) eachKid(id NodeID, yield func(Kid) bool) {
 	if s.succ != nil {
-		return s.succ.kids(id)
+		s.succ.eachKid(id, yield)
+		return
 	}
 	n := &s.nodes[id-1]
-	return func(yield func(Kid) bool) {
-		for _, k := range n.Kids {
-			if k.IsValue() {
-				if !yield(Kid{Val: n.Values[k.ValueIndex()]}) {
-					return
-				}
-			} else if !yield(Kid{ID: k.Node()}) {
+	for _, k := range n.Kids {
+		if k.IsValue() {
+			if !yield(Kid{Val: n.Values[k.ValueIndex()]}) {
 				return
 			}
+		} else if !yield(Kid{ID: k.Node()}) {
+			return
 		}
 	}
 }

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"iter"
 	"math/bits"
 	"os"
 
@@ -182,38 +181,36 @@ func (t *SuccinctStructure) levelOf(id NodeID) uint16 {
 // cost a couple of ns per open with no per-kid rank or FindClose.
 const kidsScanBits = 2048
 
-// kids yields the node's children in document order. Small subtrees
-// take kidsScan; larger ones the skip loop, where the open ordinal is
-// tracked incrementally — a skipped kid subtree spanning parens
-// [q, c] holds exactly (c-q+1)/2 opens — so each kid costs one
+// eachKid yields the node's children in document order. Small
+// subtrees take kidsScan; larger ones the skip loop, where the open
+// ordinal is tracked incrementally — a skipped kid subtree spanning
+// parens [q, c] holds exactly (c-q+1)/2 opens — so each kid costs one
 // isNode rank plus one FindClose, with no paren ranks at all.
-func (t *SuccinctStructure) kids(id NodeID) iter.Seq[Kid] {
-	return func(yield func(Kid) bool) {
-		k := t.isNode.Select1(int(id) - 1) // open ordinal of id itself
-		q := t.pv.Select1(k)
-		c := t.bp.FindCloseAt(q, 2*(k+1)-(q+1))
-		if c-q <= kidsScanBits {
-			t.kidsScan(id, k, q, c, yield)
-			return
-		}
-		q++
-		ord := k + 1
-		for t.pv.Get(q) {
-			if t.isNode.Get(ord) {
-				if !yield(Kid{ID: NodeID(t.isNode.Rank1(ord) + 1)}) {
-					return
-				}
-				c := t.bp.FindCloseAt(q, 2*(ord+1)-(q+1))
-				ord += (c - q + 1) / 2
-				q = c + 1
-			} else {
-				v := ord - t.isNode.Rank1(ord)
-				if !yield(Kid{Val: ValueRef{Container: t.valCont[v], Index: t.valIdx[v]}}) {
-					return
-				}
-				ord++
-				q += 2 // a text leaf is always "()"
+func (t *SuccinctStructure) eachKid(id NodeID, yield func(Kid) bool) {
+	k := t.isNode.Select1(int(id) - 1) // open ordinal of id itself
+	q := t.pv.Select1(k)
+	c := t.bp.FindCloseAt(q, 2*(k+1)-(q+1))
+	if c-q <= kidsScanBits {
+		t.kidsScan(id, k, q, c, yield)
+		return
+	}
+	q++
+	ord := k + 1
+	for t.pv.Get(q) {
+		if t.isNode.Get(ord) {
+			if !yield(Kid{ID: NodeID(t.isNode.Rank1(ord) + 1)}) {
+				return
 			}
+			c := t.bp.FindCloseAt(q, 2*(ord+1)-(q+1))
+			ord += (c - q + 1) / 2
+			q = c + 1
+		} else {
+			v := ord - t.isNode.Rank1(ord)
+			if !yield(Kid{Val: ValueRef{Container: t.valCont[v], Index: t.valIdx[v]}}) {
+				return
+			}
+			ord++
+			q += 2 // a text leaf is always "()"
 		}
 	}
 }

@@ -128,11 +128,11 @@ func (c *compiler) topPath(p *xquery.PathExpr) {
 
 // flwor compiles a FLWOR (no ORDER BY) into nested cursor loops.
 func (c *compiler) flwor(x *xquery.FLWOR) {
-	plan := engine.PlanFLWOR(x)
+	plan := c.eng.PlanFLWOR(x)
 	varSums := map[string][]*storage.SummaryNode{}
 	known := map[string]bool{}
-	var endPatch []int      // instructions whose C is the block end
-	innermost := int32(-1)  // pc of the innermost OpIter so far
+	var endPatch []int     // instructions whose C is the block end
+	innermost := int32(-1) // pc of the innermost OpIter so far
 
 	for ci, cl := range x.Clauses {
 		if cl.Let {

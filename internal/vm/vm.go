@@ -135,7 +135,7 @@ type domainSpec struct {
 
 // predSpec is one WHERE pushdown assigned to a clause.
 type predSpec struct {
-	pd   engine.PushdownInfo
+	pd   engine.Pushdown
 	slot int32 // original position among the clause's pushdowns
 	// Literal pushdowns with a statically known clause summary resolve
 	// their containers at compile time.
