@@ -15,8 +15,8 @@
 // shard-set manifests (name.xqcs, from `xquec compress -shards N`) and
 // segment-set manifests (name.xqcg, from appends); all are addressed by
 // bare name, with the segment manifest taking precedence. Scattered
-// queries over shard sets honor -partial-results, -hedge and
-// -shard-fanout, and export xquecd_shard_* metrics.
+// queries over shard and segment sets honor -partial-results, -hedge
+// and -shard-fanout, and export xquecd_shard_* metrics.
 //
 // POST /append grows a repository without rebuilding it: the document
 // becomes a new append segment, the set is persisted and atomically
@@ -61,9 +61,9 @@ func main() {
 	maxConc := flag.Int("max-concurrent", 0, "max concurrently evaluating queries (0 = 2×GOMAXPROCS)")
 	flushItems := flag.Int("flush-items", 32, "flush /query/stream responses every N items (first item always flushes)")
 	queryPar := flag.Int("query-parallelism", 1, "intra-query worker budget per query (1 = serial; requests may override with \"parallelism\")")
-	partial := flag.Bool("partial-results", false, "serve partial results when a shard fails on sharded repositories (requests may override with \"partial_results\")")
-	hedge := flag.Duration("hedge", 0, "re-dispatch a silent shard stream after this long on scattered queries (0 = off; requests may override with \"hedge_ms\")")
-	shardFanout := flag.Int("shard-fanout", 0, "max shards evaluating concurrently per scattered query (0 = all)")
+	partial := flag.Bool("partial-results", false, "serve partial results when a shard or segment fails on sharded or segmented repositories (requests may override with \"partial_results\")")
+	hedge := flag.Duration("hedge", 0, "re-dispatch a silent shard or segment stream after this long on scattered queries (0 = off; requests may override with \"hedge_ms\")")
+	shardFanout := flag.Int("shard-fanout", 0, "max shards or segments evaluating concurrently per scattered query (0 = all)")
 	compactAfter := flag.Int("compact-after", 0, "background-compact a repository once an append leaves it with this many segments (0 = only on request)")
 	maxAppend := flag.Int64("max-append-bytes", 0, "max /append request body size in bytes (0 = 64 MiB)")
 	appendPar := flag.Int("append-parallelism", 0, "ingestion worker budget for appends and compactions (0 = GOMAXPROCS)")

@@ -15,15 +15,17 @@
 // lets a server compact in the background under active streaming
 // queries.
 //
-// Query evaluation over a set either scatters (provably decomposable
-// queries evaluate per segment and merge through the k-way rank heap,
-// byte-identical to a full re-ingest of the concatenated corpus by
-// construction) or falls back to a lazily fused whole-corpus store.
+// Queries do not run here: View exposes a set as a shard.Set over its
+// stores (partition level 2, rank = segment index), and the shard
+// package's analyzer, coordinator and merge cursor answer it exactly as
+// they answer a shard set — scattering provably decomposable queries
+// per segment, falling back to a lazily fused whole-corpus store
+// otherwise. This package keeps only what is segment-specific: append,
+// compaction, the dictionary chain, the xqcg1 manifest, stale-file GC
+// and the textual corpus definition (Concat).
 package segment
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -64,23 +66,6 @@ type Manifest struct {
 	// so a compacted set's files can never collide with files from the
 	// set it replaced.
 	Sequence int `json:"sequence"`
-}
-
-// DictionaryHash hashes a name dictionary (order-sensitive,
-// length-prefixed so name boundaries cannot alias) — the same scheme
-// the shard manifest uses.
-func DictionaryHash(names []string) string {
-	h := sha256.New()
-	var lenBuf [4]byte
-	for _, n := range names {
-		lenBuf[0] = byte(len(n))
-		lenBuf[1] = byte(len(n) >> 8)
-		lenBuf[2] = byte(len(n) >> 16)
-		lenBuf[3] = byte(len(n) >> 24)
-		h.Write(lenBuf[:])
-		h.Write([]byte(n))
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // MarshalManifest encodes m as indented JSON (manifests are meant to be

@@ -6,8 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"xquec/internal/shard"
 	"xquec/internal/storage"
-	"xquec/internal/xquery"
 )
 
 func TestSplitDoc(t *testing.T) {
@@ -87,7 +87,7 @@ func TestManifestRoundTripAndValidation(t *testing.T) {
 		Format:        ManifestFormat,
 		RootTag:       "site",
 		Segments:      []string{"a.seg-000000.xqc", "a.seg-000001.xqc"},
-		DictHashes:    []string{DictionaryHash([]string{"site"}), DictionaryHash([]string{"site", "a"})},
+		DictHashes:    []string{shard.DictionaryHash([]string{"site"}), shard.DictionaryHash([]string{"site", "a"})},
 		OriginalSizes: []int{10, 20},
 		Generation:    2,
 		Sequence:      2,
@@ -262,47 +262,5 @@ func TestSetSaveOpenValidateGC(t *testing.T) {
 	}
 	if _, err := Open(path); err == nil || !strings.Contains(err.Error(), "dictionary hash") {
 		t.Fatalf("lineage mismatch err = %v", err)
-	}
-}
-
-func analyzeQ(t *testing.T, set *Set, q string) Decision {
-	t.Helper()
-	expr, err := xquery.Parse(q)
-	if err != nil {
-		t.Fatalf("parse %q: %v", q, err)
-	}
-	return Analyze(expr, set)
-}
-
-func TestAnalyze(t *testing.T) {
-	set := testSet(t)
-	scatter := []string{
-		`/site/a/n`,
-		`//n`,
-		`/site/a/n/text()`,
-		`FOR $x IN /site/a RETURN $x/n`,
-		`FOR $x IN /site/a WHERE $x/n > 1 RETURN $x`,
-		`/site/a/n[1]`, // positional below the root-child level: per-<a> position
-	}
-	for _, q := range scatter {
-		if d := analyzeQ(t, set, q); !d.Scatter {
-			t.Errorf("%q: not scattered: %s", q, d.Reason)
-		}
-	}
-	reject := []struct{ q, reason string }{
-		{`/site`, "root"},
-		{`/site[a]`, "root step"},
-		{`/site/a[2]`, "positional"},
-		{`/site/a[position() = last()]`, "positional"},
-		{`FOR $x IN /site/a ORDER BY $x/n RETURN $x`, "ORDER BY"},
-		{`LET $y := /site/b FOR $x IN /site/a RETURN $x`, "FOR"},
-		{`FOR $x IN /site/a RETURN /site/b`, "more than one root path"},
-	}
-	for _, tc := range reject {
-		if d := analyzeQ(t, set, tc.q); d.Scatter {
-			t.Errorf("%q: scattered, want reject", tc.q)
-		} else if !strings.Contains(d.Reason, tc.reason) {
-			t.Errorf("%q: reason = %q, want mention of %q", tc.q, d.Reason, tc.reason)
-		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 
+	"xquec/internal/shard"
 	"xquec/internal/storage"
 	"xquec/internal/xpar"
 )
@@ -26,11 +27,9 @@ type Set struct {
 	seqs    []int
 	savedAs []string
 
-	// fused is the lazily built whole-corpus store for queries the
-	// scatter analyzer declines. Built at most once per Set value.
-	fuseOnce sync.Once
-	fused    *storage.Store
-	fuseErr  error
+	// view is the query path's handle on the set, built on first use.
+	viewOnce sync.Once
+	view     *shard.Set
 }
 
 // NewBase wraps a freshly ingested store as a single-segment set.
@@ -43,7 +42,7 @@ func NewBase(store *storage.Store) (*Set, error) {
 		Format:        ManifestFormat,
 		RootTag:       root,
 		Segments:      []string{""},
-		DictHashes:    []string{DictionaryHash(store.Names)},
+		DictHashes:    []string{shard.DictionaryHash(store.Names)},
 		OriginalSizes: []int{store.OriginalSize},
 		Generation:    1,
 		Sequence:      1,
@@ -97,7 +96,7 @@ func (s *Set) Append(docs [][]byte, opts storage.LoadOptions) (*Set, error) {
 			return nil, err
 		}
 		stores[n+i] = st
-		man.DictHashes[n+i] = DictionaryHash(st.Names)
+		man.DictHashes[n+i] = shard.DictionaryHash(st.Names)
 		man.OriginalSizes[n+i] = len(doc)
 		seqs[n+i] = s.Man.Sequence + i
 	}
@@ -145,7 +144,7 @@ func (s *Set) Compact(xml []byte, opts storage.LoadOptions) (*Set, error) {
 		Format:        ManifestFormat,
 		RootTag:       s.Man.RootTag,
 		Segments:      []string{""},
-		DictHashes:    []string{DictionaryHash(store.Names)},
+		DictHashes:    []string{shard.DictionaryHash(store.Names)},
 		OriginalSizes: []int{len(xml)},
 		Generation:    s.Man.Generation + 1,
 		Sequence:      s.Man.Sequence + 1,
@@ -197,7 +196,7 @@ func Open(path string) (*Set, error) {
 // dictionary must extend segment i's), and the shared root tag.
 func (s *Set) validate() error {
 	for i, st := range s.Stores {
-		if got := DictionaryHash(st.Names); got != s.Man.DictHashes[i] {
+		if got := shard.DictionaryHash(st.Names); got != s.Man.DictHashes[i] {
 			return fmt.Errorf("segment: segment %d dictionary hash %.12s does not match manifest %.12s (mixed segment builds?)", i, got, s.Man.DictHashes[i])
 		}
 		if tag := st.TagOf(1); tag != s.Man.RootTag {
@@ -262,25 +261,25 @@ func (s *Set) FuseXML() ([]byte, error) {
 	return Concat(docs...)
 }
 
-// Fused returns the whole-corpus single-store view, reconstructing the
-// concatenated document and re-ingesting it on first use. Queries the
-// analyzer cannot scatter run here, so every query over a segment set
-// has an answer — scatter is the fast path, not the only path.
-func (s *Set) Fused(parallelism int) (*storage.Store, error) {
-	s.fuseOnce.Do(func() {
-		if len(s.Stores) == 1 {
-			// A single-segment set IS the corpus; no re-ingest needed.
-			s.fused = s.Stores[0]
-			return
-		}
-		xml, err := s.FuseXML()
-		if err != nil {
-			s.fuseErr = fmt.Errorf("segment: reconstructing corpus: %w", err)
-			return
-		}
-		s.fused, s.fuseErr = storage.Load(xml, storage.LoadOptions{Parallelism: parallelism})
+// View returns the set as the query path sees it: a shard.Set over the
+// segment stores, partitioned at level 2 with rank = segment index.
+// Everything below the root of segment k precedes segment k+1 in the
+// concatenated corpus, so one rank per stream yields whole-corpus
+// document order; root attributes live only in the base segment
+// (appended roots are attribute-free), so they are not replicated.
+func (s *Set) View() *shard.Set {
+	s.viewOnce.Do(func() {
+		s.view = shard.NewView(s.Stores, shard.Topology{
+			Member:       "segment",
+			Level:        2,
+			SpineAttrs:   false,
+			Rank:         func(m int, _ storage.NodeID) (uint64, bool) { return uint64(m), true },
+			FuseXML:      s.FuseXML,
+			Key:          s.TopologyKey(),
+			OriginalSize: s.OriginalSize(),
+		})
 	})
-	return s.fused, s.fuseErr
+	return s.view
 }
 
 // Save writes the set next to the manifest at path (which should end
@@ -310,7 +309,7 @@ func (s *Set) Save(path string) error {
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	if err := storage.WriteFileAtomic(path, append(data, '\n')); err != nil {
 		return err
 	}
 	s.gcStale(dir, base)

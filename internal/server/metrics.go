@@ -225,10 +225,11 @@ type Snapshot struct {
 	ParallelPartitions  int64 `json:"parallel_partitions"`
 	ParallelWorkersBusy int64 `json:"parallel_workers_busy"`
 
-	// Scatter-gather tier activity (process-wide, from internal/shard):
-	// queries scattered vs run on the fused fallback, shard streams
-	// dispatched/failed, straggler hedges launched/won, cursors that
-	// completed partial, and total merged items.
+	// Scatter-gather activity over sharded and segmented repositories
+	// (process-wide, from internal/shard): queries scattered vs run on
+	// the fused fallback, shard/segment streams dispatched/failed,
+	// straggler hedges launched/won, cursors that completed partial, and
+	// total merged items.
 	ShardScatterQueries  int64 `json:"shard_scatter_queries"`
 	ShardFallbackQueries int64 `json:"shard_fallback_queries"`
 	ShardStreams         int64 `json:"shard_streams"`
@@ -420,13 +421,13 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE xquecd_parallel_workers_busy gauge\nxquecd_parallel_workers_busy %d\n", ps.Busy)
 
 	ss := shard.Snapshot()
-	counter("xquecd_shard_scatter_queries_total", "Queries scattered across shard workers.", ss.ScatterQueries)
-	counter("xquecd_shard_fallback_queries_total", "Sharded-repository queries evaluated on the fused store.", ss.FallbackQueries)
-	counter("xquecd_shard_streams_total", "Per-shard evaluation streams dispatched (hedges included).", ss.ShardStreams)
-	counter("xquecd_shard_failures_total", "Per-shard evaluation streams that failed.", ss.ShardFailures)
+	counter("xquecd_shard_scatter_queries_total", "Queries scattered across shard or segment workers.", ss.ScatterQueries)
+	counter("xquecd_shard_fallback_queries_total", "Sharded- or segmented-repository queries evaluated on the fused store.", ss.FallbackQueries)
+	counter("xquecd_shard_streams_total", "Per-shard or per-segment evaluation streams dispatched (hedges included).", ss.ShardStreams)
+	counter("xquecd_shard_failures_total", "Per-shard or per-segment evaluation streams that failed.", ss.ShardFailures)
 	counter("xquecd_shard_hedges_launched_total", "Straggler hedge re-dispatches launched.", ss.HedgesLaunched)
 	counter("xquecd_shard_hedge_wins_total", "Hedge streams that beat their primary.", ss.HedgeWins)
-	counter("xquecd_shard_partial_results_total", "Scattered queries completed with a shard dropped.", ss.PartialResults)
+	counter("xquecd_shard_partial_results_total", "Scattered queries completed with a shard or segment dropped.", ss.PartialResults)
 	counter("xquecd_shard_merged_items_total", "Items emitted by the scatter-gather merge.", ss.MergedItems)
 
 	fmt.Fprintf(w, "# HELP xquecd_in_flight_queries Queries currently evaluating.\n")

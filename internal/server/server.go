@@ -45,18 +45,21 @@ type Config struct {
 	// GOMAXPROCS). Results are identical at every setting.
 	QueryParallelism int
 	// PartialResults is the default partial-results policy for sharded
-	// repositories: when true, a scattered query keeps serving the
-	// healthy shards if one fails, flagging the response (the "partial"
-	// JSON field / X-Xquec-Partial trailer). Default false (fail-fast).
-	// Requests may override it with "partial_results".
+	// or segmented repositories: when true, a scattered query keeps
+	// serving the healthy shards or segments if one fails, flagging the
+	// response (the "partial" JSON field / X-Xquec-Partial trailer).
+	// Default false (fail-fast). Requests may override it with
+	// "partial_results".
 	PartialResults bool
-	// HedgeAfter, when positive, re-dispatches a shard whose stream has
-	// been silent this long on scattered queries (straggler hedging).
-	// Requests may override it with "hedge_ms". Results are identical
-	// with or without hedging. Default 0 (disabled).
+	// HedgeAfter, when positive, re-dispatches a shard or segment whose
+	// stream has been silent this long on scattered queries over a
+	// sharded or segmented repository (straggler hedging). Requests may
+	// override it with "hedge_ms". Results are identical with or
+	// without hedging. Default 0 (disabled).
 	HedgeAfter time.Duration
-	// ShardFanout bounds how many shards a scattered query evaluates
-	// concurrently. Default 0 (all shards at once).
+	// ShardFanout bounds how many shards or segments a scattered query
+	// over a sharded or segmented repository evaluates concurrently.
+	// Default 0 (all at once).
 	ShardFanout int
 	// MaxAppendBytes caps the /append request body (default 64 MiB —
 	// appended documents are whole XML documents, so the /query body cap
@@ -196,7 +199,7 @@ type QueryRequest struct {
 	// default). Results are identical at every setting.
 	Parallelism int `json:"parallelism,omitempty"`
 	// PartialResults optionally overrides the server's partial-results
-	// policy for this request (sharded repositories only).
+	// policy for this request (sharded or segmented repositories only).
 	PartialResults *bool `json:"partial_results,omitempty"`
 	// HedgeMs optionally overrides the server's straggler-hedging
 	// threshold in milliseconds for this request: >0 sets it, <0
@@ -212,8 +215,9 @@ type QueryResponse struct {
 	ElapsedMs  float64 `json:"elapsed_ms"`
 	PlanCached bool    `json:"plan_cached"`
 	RepoCached bool    `json:"repo_cached"`
-	// Partial is true when a sharded repository answered under the
-	// partial-results policy with at least one shard dropped.
+	// Partial is true when a sharded or segmented repository answered
+	// under the partial-results policy with at least one shard or
+	// segment dropped.
 	Partial bool `json:"partial,omitempty"`
 }
 

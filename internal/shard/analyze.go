@@ -9,17 +9,21 @@ import (
 
 // Decision is the scatter analyzer's verdict on one query.
 type Decision struct {
-	// Scatter is true when per-shard evaluation + ordered merge is
-	// provably equivalent to evaluating on the unsharded corpus.
+	// Scatter is true when per-member evaluation + ordered merge is
+	// provably equivalent to evaluating on the whole corpus.
 	Scatter bool
 	// Reason explains a false Scatter (for EXPLAIN output and metrics).
 	Reason string
 }
 
 // Analyze decides whether a query can be scattered across the set's
-// shards. The proof obligation: every result item must be computable
-// from a single partitioned subtree, and the item stream of each shard
-// must be a rank-contiguous subsequence of the global result.
+// members. The proof obligation: every result item must be computable
+// from a single partitioned subtree, and the item stream of each member
+// must be a rank-contiguous subsequence of the global result. One proof
+// serves every topology; it reads only the partition level and whether
+// spine attributes are replicated (Topology.Level, SpineAttrs). For a
+// segment set the spine is the corpus root, the level is 2 and the rank
+// is the segment index.
 //
 // Sufficient conditions, checked structurally:
 //
@@ -29,31 +33,34 @@ type Decision struct {
 //     paths) is anchored below one subtree root. Exactly one absolute
 //     path may appear in the whole query: a second one reaches across
 //     subtree boundaries (multi-document joins, Q8/Q9).
-//  2. No top-level ORDER BY (it reorders across shards; nested FLWORs
+//  2. No top-level ORDER BY (it reorders across members; nested FLWORs
 //     inside RETURN order within one binding and are fine).
-//  3. The binding path, resolved against every shard's structure
+//  3. The binding path, resolved against every member's structure
 //     summary, only reaches nodes strictly inside partitioned subtrees:
 //     elements at the partition level or deeper — never spine nodes
-//     (duplicated across shards) or partition-level attributes (they
-//     belong to spine elements and are duplicated too).
+//     (present in every member). Partition-level attributes belong to
+//     spine elements: they are rejected when the spine's attributes are
+//     replicated (shards), and safe when only one member holds them
+//     (segments: appended roots are attribute-free, so the base segment
+//     alone yields them, exactly as the whole corpus does).
 //  4. Step predicates on the binding path run against spine content
 //     only when that content is replicated identically: predicates at
 //     depths above the partition level are rejected outright, and at
 //     exactly the partition level positional predicates are rejected
-//     (position among siblings is per-shard, not global).
+//     (position among siblings is per-member, not global).
 //
 // Everything else — aggregates over the binding, nested FLWORs,
 // constructors, WHERE joins between clause variables — is per-binding
 // work and needs no analysis. Queries failing these checks fall back
 // to the fused store, trading speed for unconditional correctness.
 func Analyze(expr xquery.Expr, set *Set) Decision {
-	level := set.Man.PartitionLevel
+	level, member := set.topo.Level, set.topo.Member
 
 	var binding *xquery.PathExpr
 	switch x := expr.(type) {
 	case *xquery.FLWOR:
 		if x.OrderBy != nil {
-			return Decision{Reason: "top-level ORDER BY reorders across shards"}
+			return Decision{Reason: "top-level ORDER BY reorders across " + member + "s"}
 		}
 		if len(x.Clauses) == 0 || x.Clauses[0].Let {
 			return Decision{Reason: "first clause is not a FOR"}
@@ -104,17 +111,17 @@ func Analyze(expr xquery.Expr, set *Set) Decision {
 		case minDepth == level && !descSeen:
 			for _, pred := range st.Preds {
 				if isPositionalish(pred) {
-					return Decision{Reason: "positional predicate at the partition level counts per shard"}
+					return Decision{Reason: "positional predicate at the partition level counts per " + member}
 				}
 			}
 		default:
-			return Decision{Reason: "predicate on a spine step evaluates differently per shard"}
+			return Decision{Reason: "predicate on a spine step (the root step or another step above the partition level) evaluates differently per " + member}
 		}
 	}
 
 	// Binding depth (condition 3): resolve the path against every
-	// shard's summary — shard summaries cover disjoint subtree sets, so
-	// the union is the corpus's full summary.
+	// member's summary — member summaries cover disjoint subtree sets,
+	// so the union is the corpus's full summary.
 	pattern := make([]storage.PathStep, len(steps))
 	for i, st := range steps {
 		name := st.Name
@@ -127,9 +134,9 @@ func Analyze(expr xquery.Expr, set *Set) Decision {
 		for _, sn := range st.Sum.Match(pattern) {
 			depth := summaryDepth(sn)
 			if depth < level {
-				return Decision{Reason: "binding path reaches spine nodes (duplicated across shards)"}
+				return Decision{Reason: "binding path reaches spine nodes (the root and any element above the partition level, present in every " + member + ")"}
 			}
-			if depth == level && strings.HasPrefix(sn.Tag, "@") {
+			if depth == level && set.topo.SpineAttrs && strings.HasPrefix(sn.Tag, "@") {
 				return Decision{Reason: "binding path reaches partition-level attributes (spine-owned)"}
 			}
 		}

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"time"
 
+	"xquec/internal/storage"
+	"xquec/internal/vm"
 	"xquec/internal/xpar"
 	"xquec/internal/xquery"
 )
@@ -60,14 +62,16 @@ func (c *Coordinator) Scatter(ctx context.Context, query string, opts Options) (
 	if err != nil {
 		return nil, err
 	}
-	return c.ScatterExpr(ctx, query, expr, opts)
+	return c.ScatterExpr(ctx, query, expr, nil, opts)
 }
 
 // ScatterExpr is Scatter for callers that already hold the parsed
 // query (prepared statements, plan caches): no parse happens at all.
 // query must be the text expr was parsed from — it is what crosses an
-// RPC boundary to workers that cannot share the AST.
-func (c *Coordinator) ScatterExpr(ctx context.Context, query string, expr xquery.Expr, opts Options) (*Cursor, error) {
+// RPC boundary to workers that cannot share the AST. program, when
+// non-nil, supplies the compiled program for a member store (nil = tree
+// walker) to workers that have not cached one yet.
+func (c *Coordinator) ScatterExpr(ctx context.Context, query string, expr xquery.Expr, program func(*storage.Store) *vm.Program, opts Options) (*Cursor, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -85,7 +89,7 @@ func (c *Coordinator) ScatterExpr(ctx context.Context, query string, expr xquery
 		cancel:  cancel,
 		partial: opts.Partial,
 	}
-	req := Request{Query: query, Parallelism: opts.Parallelism, expr: expr}
+	req := Request{Query: query, Parallelism: opts.Parallelism, expr: expr, program: program}
 	fanout := opts.Fanout
 	if fanout <= 0 || fanout > n {
 		fanout = n

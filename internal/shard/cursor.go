@@ -16,14 +16,15 @@ type srcItem struct {
 }
 
 // Cursor is the coordinator's merged result stream: a k-way merge over
-// the shard queues by global rank, pulled one item per Next. It is a
+// the member queues by global rank, pulled one item per Next. It is a
 // single-consumer cursor with sticky errors, mirroring engine.Result's
 // contract so the public Results API can wrap either interchangeably.
 //
 // Ordering: within a queue ranks are non-decreasing and items of equal
 // rank stay adjacent (the heap's strict-< sift never reorders ties,
-// and ties cannot occur across queues — rank ≡ shard (mod N)), so the
-// merged stream is exactly the unsharded document-order result.
+// and ties cannot occur across queues — Topology.Rank never ties
+// across members), so the merged stream is exactly the whole-corpus
+// document-order result.
 type Cursor struct {
 	queues  []*queue
 	ctx     context.Context

@@ -1,8 +1,9 @@
-package shard
+package shard_test
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
@@ -10,23 +11,91 @@ import (
 	"testing"
 	"time"
 
+	"xquec/internal/segment"
+	"xquec/internal/shard"
 	"xquec/internal/storage"
 )
 
-// faultQuery is scatterable and returns enough items that every shard
+// The coordinator fault suite runs on both topologies: shard sets, and
+// a segment set's view (one worker per segment, rank = segment index).
+// It lives in an external test package because the segment package
+// imports this one.
+
+// faultQuery is scatterable and returns enough items that every member
 // contributes at the counts under test.
 const faultQuery = `FOR $p IN document("auction.xml")/site/people/person RETURN $p/name/text()`
 
-func buildSet(t *testing.T, src []byte, shards int) *Set {
+// faultInput is one partitioned corpus under test and the whole-corpus
+// answer to faultQuery.
+type faultInput struct {
+	name string
+	set  *shard.Set
+	want string
+}
+
+func buildSet(t *testing.T, src []byte, shards int) *shard.Set {
 	t.Helper()
-	set, err := Build(src, shards, storage.LoadOptions{})
+	set, err := shard.Build(src, shards, storage.LoadOptions{})
 	if err != nil {
 		t.Fatalf("build %d shards: %v", shards, err)
 	}
 	return set
 }
 
-func scatterXML(t *testing.T, c *Coordinator, ctx context.Context, query string, opts Options) (string, *Cursor) {
+// segmentDocs are three XMark documents sharing the <site> root: the
+// base and two appends of a segment set.
+func segmentDocs() [][]byte {
+	docs := make([][]byte, 3)
+	for i := range docs {
+		docs[i] = xmarkDocSeed(0.02, int64(41+i))
+	}
+	return docs
+}
+
+// buildSegments grows a segment set from docs: the first is the base,
+// each later one an append segment.
+func buildSegments(t *testing.T, docs [][]byte) *segment.Set {
+	t.Helper()
+	st, err := storage.Load(docs[0], storage.LoadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := segment.NewBase(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(docs) > 1 {
+		if set, err = set.Append(docs[1:], storage.LoadOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return set
+}
+
+// faultInputs returns shard sets of the given sizes over one XMark
+// document, plus a three-segment set.
+func faultInputs(t *testing.T, shardCounts ...int) []faultInput {
+	t.Helper()
+	src := xmarkDoc(t)
+	want := unshardedXML(t, src, faultQuery)
+	var out []faultInput
+	for _, n := range shardCounts {
+		out = append(out, faultInput{name: fmt.Sprintf("shards=%d", n), set: buildSet(t, src, n), want: want})
+	}
+	docs := segmentDocs()
+	concat, err := segment.Concat(docs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out = append(out, faultInput{
+		name: "segments=3",
+		set:  buildSegments(t, docs).View(),
+		want: unshardedXML(t, concat, faultQuery),
+	})
+	return out
+}
+
+func scatterXML(t *testing.T, c *shard.Coordinator, ctx context.Context, query string, opts shard.Options) (string, *shard.Cursor) {
 	t.Helper()
 	cur, err := c.Scatter(ctx, query, opts)
 	if err != nil {
@@ -46,11 +115,11 @@ func scatterXML(t *testing.T, c *Coordinator, ctx context.Context, query string,
 // microseconds, shuffling the interleaving of shard goroutines so the
 // race detector and the ordering assertions see many schedules.
 type jitterWorker struct {
-	Worker
+	shard.Worker
 	seed int64
 }
 
-func (w *jitterWorker) Query(ctx context.Context, req Request) (Stream, error) {
+func (w *jitterWorker) Query(ctx context.Context, req shard.Request) (shard.Stream, error) {
 	st, err := w.Worker.Query(ctx, req)
 	if err != nil {
 		return nil, err
@@ -59,11 +128,11 @@ func (w *jitterWorker) Query(ctx context.Context, req Request) (Stream, error) {
 }
 
 type jitterStream struct {
-	inner Stream
+	inner shard.Stream
 	rnd   *rand.Rand
 }
 
-func (s *jitterStream) Next() (Item, bool, error) {
+func (s *jitterStream) Next() (shard.Item, bool, error) {
 	time.Sleep(time.Duration(s.rnd.Intn(300)) * time.Microsecond)
 	return s.inner.Next()
 }
@@ -74,17 +143,17 @@ func (s *jitterStream) Close() error { return s.inner.Close() }
 type downWorker struct{ shard int }
 
 func (w *downWorker) Shard() int { return w.shard }
-func (w *downWorker) Query(context.Context, Request) (Stream, error) {
+func (w *downWorker) Query(context.Context, shard.Request) (shard.Stream, error) {
 	return nil, errors.New("injected: shard store corrupt")
 }
 
 // truncWorker delivers its first `after` items, then fails mid-stream.
 type truncWorker struct {
-	Worker
+	shard.Worker
 	after int
 }
 
-func (w *truncWorker) Query(ctx context.Context, req Request) (Stream, error) {
+func (w *truncWorker) Query(ctx context.Context, req shard.Request) (shard.Stream, error) {
 	st, err := w.Worker.Query(ctx, req)
 	if err != nil {
 		return nil, err
@@ -93,13 +162,13 @@ func (w *truncWorker) Query(ctx context.Context, req Request) (Stream, error) {
 }
 
 type truncStream struct {
-	inner Stream
+	inner shard.Stream
 	left  int
 }
 
-func (s *truncStream) Next() (Item, bool, error) {
+func (s *truncStream) Next() (shard.Item, bool, error) {
 	if s.left == 0 {
-		return Item{}, false, errors.New("injected: container decode failed")
+		return shard.Item{}, false, errors.New("injected: container decode failed")
 	}
 	s.left--
 	return s.inner.Next()
@@ -112,11 +181,11 @@ func (s *truncStream) Close() error { return s.inner.Close() }
 // when a shard fails after delivering a prefix (the partial-results
 // policy keeps delivered items and drops only the remainder).
 type prefixWorker struct {
-	Worker
+	shard.Worker
 	n int
 }
 
-func (w *prefixWorker) Query(ctx context.Context, req Request) (Stream, error) {
+func (w *prefixWorker) Query(ctx context.Context, req shard.Request) (shard.Stream, error) {
 	if w.n == 0 {
 		return emptyStream{}, nil
 	}
@@ -128,13 +197,13 @@ func (w *prefixWorker) Query(ctx context.Context, req Request) (Stream, error) {
 }
 
 type prefixStream struct {
-	inner Stream
+	inner shard.Stream
 	left  int
 }
 
-func (s *prefixStream) Next() (Item, bool, error) {
+func (s *prefixStream) Next() (shard.Item, bool, error) {
 	if s.left == 0 {
-		return Item{}, false, nil
+		return shard.Item{}, false, nil
 	}
 	s.left--
 	return s.inner.Next()
@@ -144,18 +213,18 @@ func (s *prefixStream) Close() error { return s.inner.Close() }
 
 type emptyStream struct{}
 
-func (emptyStream) Next() (Item, bool, error) { return Item{}, false, nil }
-func (emptyStream) Close() error              { return nil }
+func (emptyStream) Next() (shard.Item, bool, error) { return shard.Item{}, false, nil }
+func (emptyStream) Close() error                    { return nil }
 
 // stallWorker blocks its first dispatch until cancelled; every later
 // dispatch (the hedge) evaluates normally. This is the straggler the
 // hedging policy exists for.
 type stallWorker struct {
-	Worker
+	shard.Worker
 	calls atomic.Int32
 }
 
-func (w *stallWorker) Query(ctx context.Context, req Request) (Stream, error) {
+func (w *stallWorker) Query(ctx context.Context, req shard.Request) (shard.Stream, error) {
 	if w.calls.Add(1) == 1 {
 		return &stallStream{ctx: ctx}, nil
 	}
@@ -164,9 +233,9 @@ func (w *stallWorker) Query(ctx context.Context, req Request) (Stream, error) {
 
 type stallStream struct{ ctx context.Context }
 
-func (s *stallStream) Next() (Item, bool, error) {
+func (s *stallStream) Next() (shard.Item, bool, error) {
 	<-s.ctx.Done()
-	return Item{}, false, s.ctx.Err()
+	return shard.Item{}, false, s.ctx.Err()
 }
 
 func (s *stallStream) Close() error { return nil }
@@ -174,11 +243,11 @@ func (s *stallStream) Close() error { return nil }
 // slowWorker sleeps before every item, long enough that a short
 // per-request deadline expires mid-stream.
 type slowWorker struct {
-	Worker
+	shard.Worker
 	delay time.Duration
 }
 
-func (w *slowWorker) Query(ctx context.Context, req Request) (Stream, error) {
+func (w *slowWorker) Query(ctx context.Context, req shard.Request) (shard.Stream, error) {
 	st, err := w.Worker.Query(ctx, req)
 	if err != nil {
 		return nil, err
@@ -187,15 +256,15 @@ func (w *slowWorker) Query(ctx context.Context, req Request) (Stream, error) {
 }
 
 type slowStream struct {
-	inner Stream
+	inner shard.Stream
 	ctx   context.Context
 	delay time.Duration
 }
 
-func (s *slowStream) Next() (Item, bool, error) {
+func (s *slowStream) Next() (shard.Item, bool, error) {
 	select {
 	case <-s.ctx.Done():
-		return Item{}, false, s.ctx.Err()
+		return shard.Item{}, false, s.ctx.Err()
 	case <-time.After(s.delay):
 	}
 	return s.inner.Next()
@@ -206,215 +275,215 @@ func (s *slowStream) Close() error { return s.inner.Close() }
 // --- tests ---------------------------------------------------------
 
 // TestScatterRandomizedScheduling runs the scatter under randomly
-// jittered shard streams across several rounds and shard counts: the
-// merged output must be byte-identical to the unsharded evaluation no
-// matter how the shard goroutines interleave. Run with -race.
+// jittered member streams across several rounds, shard counts and a
+// segment set: the merged output must be byte-identical to the
+// whole-corpus evaluation no matter how the member goroutines
+// interleave. Run with -race.
 func TestScatterRandomizedScheduling(t *testing.T) {
-	src := xmarkDoc(t)
-	want := unshardedXML(t, src, faultQuery)
-	for _, shards := range []int{2, 4, 8} {
-		set := buildSet(t, src, shards)
-		base := set.Workers()
+	for _, in := range faultInputs(t, 2, 4, 8) {
+		base := in.set.Workers()
+		n := len(base)
 		for round := 0; round < 3; round++ {
-			workers := make([]Worker, len(base))
+			workers := make([]shard.Worker, n)
 			for i := range base {
-				workers[i] = &jitterWorker{Worker: base[i], seed: int64(shards*100 + round*10 + i)}
+				workers[i] = &jitterWorker{Worker: base[i], seed: int64(n*100 + round*10 + i)}
 			}
-			c := NewCoordinatorWorkers(set, workers)
-			got, cur := scatterXML(t, c, context.Background(), faultQuery, Options{})
+			c := shard.NewCoordinatorWorkers(in.set, workers)
+			got, cur := scatterXML(t, c, context.Background(), faultQuery, shard.Options{})
 			cur.Close()
-			if got != want {
-				t.Fatalf("shards=%d round=%d: jittered scatter diverged", shards, round)
+			if got != in.want {
+				t.Fatalf("%s round=%d: jittered scatter diverged", in.name, round)
 			}
 		}
 	}
 }
 
-// expectedWithPrefix computes the merge where shard `skip` delivers
+// expectedWithPrefix computes the merge where member `skip` delivers
 // only its first `n` items then vanishes — what the partial-results
-// policy should return when that shard fails after n items.
-func expectedWithPrefix(t *testing.T, set *Set, skip, n int) string {
+// policy should return when that member fails after n items.
+func expectedWithPrefix(t *testing.T, set *shard.Set, skip, n int) string {
 	t.Helper()
 	base := set.Workers()
-	workers := make([]Worker, len(base))
+	workers := make([]shard.Worker, len(base))
 	copy(workers, base)
 	workers[skip] = &prefixWorker{Worker: base[skip], n: n}
-	got, cur := scatterXML(t, NewCoordinatorWorkers(set, workers), context.Background(), faultQuery, Options{})
+	got, cur := scatterXML(t, shard.NewCoordinatorWorkers(set, workers), context.Background(), faultQuery, shard.Options{})
 	cur.Close()
 	return got
 }
 
-// TestScatterPartialPolicy injects a per-shard failure (dispatch-time
+// TestScatterPartialPolicy injects a per-member failure (dispatch-time
 // and mid-stream) and asserts both sides of the policy: fail-fast
-// surfaces the shard's error; partial returns exactly the healthy
-// shards' merge and flags the cursor.
+// surfaces the member's error; partial returns exactly the healthy
+// members' merge and flags the cursor.
 func TestScatterPartialPolicy(t *testing.T) {
-	src := xmarkDoc(t)
-	set := buildSet(t, src, 4)
-	base := set.Workers()
+	for _, in := range faultInputs(t, 4) {
+		set := in.set
+		base := set.Workers()
 
-	inject := func(name string, delivered int, mk func(i int) Worker) {
-		for _, failShard := range []int{0, 2} {
-			workers := make([]Worker, len(base))
-			copy(workers, base)
-			workers[failShard] = mk(failShard)
-			c := NewCoordinatorWorkers(set, workers)
+		inject := func(name string, delivered int, mk func(i int) shard.Worker) {
+			for _, failShard := range []int{0, 2} {
+				workers := make([]shard.Worker, len(base))
+				copy(workers, base)
+				workers[failShard] = mk(failShard)
+				c := shard.NewCoordinatorWorkers(set, workers)
 
-			// Fail-fast: the injected error must reach the caller.
-			cur, err := c.Scatter(context.Background(), faultQuery, Options{})
+				// Fail-fast: the injected error must reach the caller.
+				cur, err := c.Scatter(context.Background(), faultQuery, shard.Options{})
+				if err == nil {
+					var sb strings.Builder
+					_, err = cur.WriteXML(&sb)
+					cur.Close()
+				}
+				if err == nil || !strings.Contains(err.Error(), "injected") {
+					t.Fatalf("%s %s member=%d fail-fast: err=%v, want injected failure", in.name, name, failShard, err)
+				}
+
+				// Partial: healthy members only, cursor flagged.
+				before := shard.Snapshot().PartialResults
+				got, cur2 := scatterXML(t, c, context.Background(), faultQuery, shard.Options{Partial: true})
+				if !cur2.Partial() {
+					t.Fatalf("%s %s member=%d: partial cursor not flagged", in.name, name, failShard)
+				}
+				cur2.Close()
+				if want := expectedWithPrefix(t, set, failShard, delivered); got != want {
+					t.Fatalf("%s %s member=%d partial: got %d bytes, want %d (healthy-member merge)",
+						in.name, name, failShard, len(got), len(want))
+				}
+				if after := shard.Snapshot().PartialResults; after != before+1 {
+					t.Fatalf("%s %s member=%d: partialResults counter %d -> %d, want +1", in.name, name, failShard, before, after)
+				}
+			}
+		}
+
+		inject("dispatch", 0, func(i int) shard.Worker { return &downWorker{shard: i} })
+		inject("midstream", 1, func(i int) shard.Worker { return &truncWorker{Worker: base[i], after: 1} })
+	}
+}
+
+// TestScatterHedging stalls one member's first dispatch forever: with
+// hedging off the query hangs (bounded here by a deadline); with a
+// short HedgeAfter the re-dispatched stream answers and the output is
+// still byte-identical to the whole-corpus evaluation.
+func TestScatterHedging(t *testing.T) {
+	for _, in := range faultInputs(t, 4) {
+		base := in.set.Workers()
+		workers := make([]shard.Worker, len(base))
+		copy(workers, base)
+		stalled := &stallWorker{Worker: base[1]}
+		workers[1] = stalled
+		c := shard.NewCoordinatorWorkers(in.set, workers)
+
+		s0 := shard.Snapshot()
+		got, cur := scatterXML(t, c, context.Background(), faultQuery, shard.Options{HedgeAfter: 5 * time.Millisecond})
+		cur.Close()
+		if got != in.want {
+			t.Fatalf("%s: hedged scatter diverged from whole-corpus result", in.name)
+		}
+		s1 := shard.Snapshot()
+		if s1.HedgesLaunched <= s0.HedgesLaunched {
+			t.Fatalf("%s: hedgesLaunched did not advance (%d -> %d)", in.name, s0.HedgesLaunched, s1.HedgesLaunched)
+		}
+		if s1.HedgeWins <= s0.HedgeWins {
+			t.Fatalf("%s: hedgeWins did not advance (%d -> %d)", in.name, s0.HedgeWins, s1.HedgeWins)
+		}
+		if n := stalled.calls.Load(); n < 2 {
+			t.Fatalf("%s: stalled worker dispatched %d times, want >= 2 (primary + hedge)", in.name, n)
+		}
+
+		// Without hedging the stalled member pins the query until the
+		// deadline: this is the failure mode hedging removes, and it must
+		// surface as the context error under either policy.
+		workers[1] = &stallWorker{Worker: base[1]}
+		c = shard.NewCoordinatorWorkers(in.set, workers)
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+		cur2, err := c.Scatter(ctx, faultQuery, shard.Options{Partial: true})
+		if err == nil {
+			var sb strings.Builder
+			_, err = cur2.WriteXML(&sb)
+			cur2.Close()
+		}
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s: unhedged stall: err=%v, want DeadlineExceeded", in.name, err)
+		}
+	}
+}
+
+// TestScatterDeadlineMidStream expires the request deadline while
+// every member is mid-stream: the cursor must fail with the context
+// error under both policies (a deadline is never a partial result).
+func TestScatterDeadlineMidStream(t *testing.T) {
+	for _, in := range faultInputs(t, 4) {
+		base := in.set.Workers()
+		workers := make([]shard.Worker, len(base))
+		for i := range base {
+			workers[i] = &slowWorker{Worker: base[i], delay: 20 * time.Millisecond}
+		}
+		c := shard.NewCoordinatorWorkers(in.set, workers)
+		for _, partial := range []bool{false, true} {
+			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			cur, err := c.Scatter(ctx, faultQuery, shard.Options{Partial: partial})
 			if err == nil {
 				var sb strings.Builder
 				_, err = cur.WriteXML(&sb)
 				cur.Close()
 			}
-			if err == nil || !strings.Contains(err.Error(), "injected") {
-				t.Fatalf("%s shard=%d fail-fast: err=%v, want injected failure", name, failShard, err)
+			cancel()
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("%s partial=%v: err=%v, want DeadlineExceeded", in.name, partial, err)
 			}
-
-			// Partial: healthy shards only, cursor flagged.
-			before := counters.partialResults.Load()
-			got, cur2 := scatterXML(t, c, context.Background(), faultQuery, Options{Partial: true})
-			if !cur2.Partial() {
-				t.Fatalf("%s shard=%d: partial cursor not flagged", name, failShard)
-			}
-			cur2.Close()
-			if want := expectedWithPrefix(t, set, failShard, delivered); got != want {
-				t.Fatalf("%s shard=%d partial: got %d bytes, want %d (healthy-shard merge)",
-					name, failShard, len(got), len(want))
-			}
-			if after := counters.partialResults.Load(); after != before+1 {
-				t.Fatalf("%s shard=%d: partialResults counter %d -> %d, want +1", name, failShard, before, after)
-			}
-		}
-	}
-
-	inject("dispatch", 0, func(i int) Worker { return &downWorker{shard: i} })
-	inject("midstream", 1, func(i int) Worker { return &truncWorker{Worker: base[i], after: 1} })
-}
-
-// TestScatterHedging stalls one shard's first dispatch forever: with
-// hedging off the query hangs (bounded here by a deadline); with a
-// short HedgeAfter the re-dispatched stream answers and the output is
-// still byte-identical to the unsharded evaluation.
-func TestScatterHedging(t *testing.T) {
-	src := xmarkDoc(t)
-	want := unshardedXML(t, src, faultQuery)
-	set := buildSet(t, src, 4)
-	base := set.Workers()
-	workers := make([]Worker, len(base))
-	copy(workers, base)
-	stalled := &stallWorker{Worker: base[1]}
-	workers[1] = stalled
-	c := NewCoordinatorWorkers(set, workers)
-
-	launched, wins := counters.hedgesLaunched.Load(), counters.hedgeWins.Load()
-	got, cur := scatterXML(t, c, context.Background(), faultQuery, Options{HedgeAfter: 5 * time.Millisecond})
-	cur.Close()
-	if got != want {
-		t.Fatalf("hedged scatter diverged from unsharded result")
-	}
-	if n := counters.hedgesLaunched.Load(); n <= launched {
-		t.Fatalf("hedgesLaunched did not advance (%d -> %d)", launched, n)
-	}
-	if n := counters.hedgeWins.Load(); n <= wins {
-		t.Fatalf("hedgeWins did not advance (%d -> %d)", wins, n)
-	}
-	if n := stalled.calls.Load(); n < 2 {
-		t.Fatalf("stalled worker dispatched %d times, want >= 2 (primary + hedge)", n)
-	}
-
-	// Without hedging the stalled shard pins the query until the
-	// deadline: this is the failure mode hedging removes, and it must
-	// surface as the context error under either policy.
-	stalled.calls.Store(1) // already past first call; keep stalling off
-	workers[1] = &stallWorker{Worker: base[1]}
-	c = NewCoordinatorWorkers(set, workers)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	cur2, err := c.Scatter(ctx, faultQuery, Options{Partial: true})
-	if err == nil {
-		var sb strings.Builder
-		_, err = cur2.WriteXML(&sb)
-		cur2.Close()
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("unhedged stall: err=%v, want DeadlineExceeded", err)
-	}
-}
-
-// TestScatterDeadlineMidStream expires the request deadline while
-// every shard is mid-stream: the cursor must fail with the context
-// error under both policies (a deadline is never a partial result).
-func TestScatterDeadlineMidStream(t *testing.T) {
-	src := xmarkDoc(t)
-	set := buildSet(t, src, 4)
-	base := set.Workers()
-	workers := make([]Worker, len(base))
-	for i := range base {
-		workers[i] = &slowWorker{Worker: base[i], delay: 20 * time.Millisecond}
-	}
-	c := NewCoordinatorWorkers(set, workers)
-	for _, partial := range []bool{false, true} {
-		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-		cur, err := c.Scatter(ctx, faultQuery, Options{Partial: partial})
-		if err == nil {
-			var sb strings.Builder
-			_, err = cur.WriteXML(&sb)
-			cur.Close()
-		}
-		cancel()
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("partial=%v: err=%v, want DeadlineExceeded", partial, err)
 		}
 	}
 }
 
 // TestScatterRankOrder asserts the merge invariant directly: ranks are
-// non-decreasing across the merged stream, and items from different
-// shards never share a rank (rank ≡ shard index mod N by routing).
+// non-decreasing within each member's stream, and items from different
+// members never share a rank (shards: rank ≡ shard index mod N by
+// routing; segments: rank = segment index).
 func TestScatterRankOrder(t *testing.T) {
-	src := xmarkDoc(t)
-	set := buildSet(t, src, 4)
-	base := set.Workers()
+	for _, in := range faultInputs(t, 4) {
+		base := in.set.Workers()
 
-	// Collect each shard's rank sequence through the raw worker API.
-	var all []uint64
-	perShard := make([][]uint64, len(base))
-	for i, w := range base {
-		st, err := w.Query(context.Background(), Request{Query: faultQuery})
-		if err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
-		for {
-			it, ok, err := st.Next()
+		// Collect each member's rank sequence through the raw worker API.
+		var all []uint64
+		perMember := make([][]uint64, len(base))
+		for i, w := range base {
+			st, err := w.Query(context.Background(), shard.Request{Query: faultQuery})
 			if err != nil {
-				t.Fatalf("shard %d: %v", i, err)
+				t.Fatalf("%s member %d: %v", in.name, i, err)
 			}
-			if !ok {
-				break
+			for {
+				it, ok, err := st.Next()
+				if err != nil {
+					t.Fatalf("%s member %d: %v", in.name, i, err)
+				}
+				if !ok {
+					break
+				}
+				perMember[i] = append(perMember[i], it.Rank)
+				all = append(all, it.Rank)
 			}
-			perShard[i] = append(perShard[i], it.Rank)
-			all = append(all, it.Rank)
+			st.Close()
 		}
-		st.Close()
-	}
-	for i, ranks := range perShard {
-		if !sort.SliceIsSorted(ranks, func(a, b int) bool { return ranks[a] < ranks[b] }) {
-			t.Fatalf("shard %d ranks not sorted: %v", i, ranks)
-		}
-	}
-	// Cross-shard uniqueness (adjacent duplicates within one shard are
-	// legal: multi-item bindings share a rank).
-	seen := map[uint64]int{}
-	for i, ranks := range perShard {
-		for _, r := range ranks {
-			if j, dup := seen[r]; dup && j != i {
-				t.Fatalf("rank %d appears in shards %d and %d", r, j, i)
+		for i, ranks := range perMember {
+			if !sort.SliceIsSorted(ranks, func(a, b int) bool { return ranks[a] < ranks[b] }) {
+				t.Fatalf("%s member %d ranks not sorted: %v", in.name, i, ranks)
 			}
-			seen[r] = i
 		}
-	}
-	if len(all) == 0 {
-		t.Fatal("no items")
+		// Cross-member uniqueness (adjacent duplicates within one member
+		// are legal: multi-item bindings share a rank).
+		seen := map[uint64]int{}
+		for i, ranks := range perMember {
+			for _, r := range ranks {
+				if j, dup := seen[r]; dup && j != i {
+					t.Fatalf("%s: rank %d appears in members %d and %d", in.name, r, j, i)
+				}
+				seen[r] = i
+			}
+		}
+		if len(all) == 0 {
+			t.Fatalf("%s: no items", in.name)
+		}
 	}
 }

@@ -7,6 +7,11 @@
 // operator uses — so a consumer of the merged cursor sees exactly the
 // document-order item sequence the unsharded repository would produce.
 //
+// The analyzer, coordinator and merge are the query path for every
+// partitioned repository, not only shard sets: a segment set enters as
+// a view (NewView) whose Topology fixes the partition level at 2 and
+// ranks items by segment index.
+//
 // The coordinator/worker boundary is an interface (Worker): the
 // in-process implementation evaluates against a local Store on a
 // goroutine, but the request/response types are plain data (query text

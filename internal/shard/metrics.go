@@ -2,8 +2,8 @@ package shard
 
 import "sync/atomic"
 
-// Process-wide scatter-gather counters, exported by xquecd as
-// xquecd_shard_* metrics (the same pattern as xpar.Snapshot and
+// Process-wide scatter-gather counters over shard and segment sets
+// alike, exported by xquecd as xquecd_shard_* metrics (the same pattern as xpar.Snapshot and
 // storage.LoadBuildTotals: package-global monotonic counters, snapshot
 // on scrape).
 var counters struct {
@@ -23,12 +23,12 @@ func CountFallback() { counters.fallbackQueries.Add(1) }
 
 // Stats is one snapshot of the scatter-gather counters.
 type Stats struct {
-	// ScatterQueries is the number of queries answered by per-shard
-	// fan-out; FallbackQueries were answered on the fused store because
-	// the analyzer declined to scatter them.
+	// ScatterQueries is the number of queries answered by per-member
+	// (shard or segment) fan-out; FallbackQueries were answered on the
+	// fused store because the analyzer declined to scatter them.
 	ScatterQueries  int64
 	FallbackQueries int64
-	// ShardStreams counts per-shard evaluations dispatched (hedges
+	// ShardStreams counts per-member evaluations dispatched (hedges
 	// included); ShardFailures counts those that ended in error.
 	ShardStreams  int64
 	ShardFailures int64
@@ -37,7 +37,7 @@ type Stats struct {
 	HedgesLaunched int64
 	HedgeWins      int64
 	// PartialResults counts cursors that completed with at least one
-	// shard dropped under the partial-results policy.
+	// member dropped under the partial-results policy.
 	PartialResults int64
 	// MergedItems is the total number of items the merge emitted.
 	MergedItems int64

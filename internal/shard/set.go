@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -21,13 +20,47 @@ type span struct {
 	start, end storage.NodeID
 }
 
-// Set is a shard set opened as one logical repository: the manifest,
-// the N shard stores, and the per-shard subtree tables that map a
-// node to its global document-order rank.
+// Topology is how a set's members partition one logical corpus: the
+// facts the scatter analyzer, the workers' rank stamping and the fused
+// fallback need, and nothing else. Shards and segments are both N
+// compressed repositories sharing one name dictionary; they differ only
+// in these facts.
+type Topology struct {
+	// Member names one partition in messages and EXPLAIN output
+	// ("shard" or "segment").
+	Member string
+	// Level is the partition level (root = 1): every element at this
+	// depth or below lives in exactly one member; the elements above it
+	// are the spine, present in every member.
+	Level int
+	// SpineAttrs reports whether the attributes of spine elements are
+	// replicated in every member. The shard splitter echoes the spine
+	// with its attributes into every shard; appended segment roots carry
+	// no attributes, so only the base segment holds any.
+	SpineAttrs bool
+	// Rank maps a binding node of member m to its global merge rank;
+	// ok=false marks a spine node. Ranks are non-decreasing in document
+	// order within one member and never tie across members.
+	Rank func(m int, id storage.NodeID) (rank uint64, ok bool)
+	// FuseXML reconstructs the whole corpus document.
+	FuseXML func() ([]byte, error)
+	// Key identifies the topology for cache keying: two sets answer
+	// queries identically only if their keys match.
+	Key string
+	// OriginalSize is the uncompressed corpus size in bytes.
+	OriginalSize int
+}
+
+// Set is N member repositories opened as one logical corpus: the
+// stores, their topology, and the lazily built fused store and
+// workers. A shard set also carries its manifest and the per-shard
+// subtree tables that map a node to its global document-order rank; a
+// view over another kind of member set (NewView) carries neither.
 type Set struct {
-	Man    *Manifest
+	Man    *Manifest // nil for a view
 	Stores []*storage.Store
 
+	topo   Topology
 	tables [][]span // per shard, partitioned subtree roots in doc order
 
 	// fused is the lazily reconstructed single-store view, used for
@@ -36,10 +69,15 @@ type Set struct {
 	fuseOnce sync.Once
 	fused    *storage.Store
 	fuseErr  error
-	fusePar  int
 
 	workersOnce sync.Once
 	workers     []Worker
+}
+
+// NewView returns a set over stores partitioned as topo — how a member
+// set other than a shard set (a segment set) enters the query path.
+func NewView(stores []*storage.Store, topo Topology) *Set {
+	return &Set{Stores: stores, topo: topo}
 }
 
 // Build splits src into `shards` shard repositories (shard-aware
@@ -116,6 +154,16 @@ func newSet(man *Manifest, stores []*storage.Store) (*Set, error) {
 		return nil, fmt.Errorf("shard: %d stores for %d manifest shards", len(stores), len(man.Shards))
 	}
 	s := &Set{Man: man, Stores: stores, tables: make([][]span, len(stores))}
+	s.topo = Topology{
+		Member:     "shard",
+		Level:      man.PartitionLevel,
+		SpineAttrs: true,
+		Rank:       s.rankOf,
+		FuseXML:    s.fuseXML,
+		Key: fmt.Sprintf("shards=%d;level=%d;subtrees=%d;dict=%.12s",
+			len(stores), man.PartitionLevel, man.Subtrees, man.DictHash),
+		OriginalSize: man.OriginalSize,
+	}
 	for i, st := range stores {
 		if got := DictionaryHash(st.Names); got != man.DictHash {
 			return nil, fmt.Errorf("shard: shard %d dictionary hash %.12s does not match manifest %.12s (mixed shard builds?)", i, got, man.DictHash)
@@ -149,8 +197,11 @@ func subtreeTable(st *storage.Store, level int) []span {
 	return out
 }
 
-// Shards returns the shard count.
-func (s *Set) Shards() int { return len(s.Stores) }
+// Member names one partition of the set ("shard" or "segment").
+func (s *Set) Member() string { return s.topo.Member }
+
+// OriginalSize is the uncompressed corpus size in bytes.
+func (s *Set) OriginalSize() int { return s.topo.OriginalSize }
 
 // rankOf maps a node of one shard store to the global document-order
 // rank of the partitioned subtree containing it. ok is false for spine
@@ -174,12 +225,9 @@ func (s *Set) rankOf(shard int, id storage.NodeID) (uint64, bool) {
 	return uint64(k)*uint64(len(s.Stores)) + uint64(shard), true
 }
 
-// TopologyKey describes the shard topology for cache keying: two sets
+// TopologyKey describes the set's topology for cache keying: two sets
 // answer queries identically only if their topology keys match.
-func (s *Set) TopologyKey() string {
-	return fmt.Sprintf("shards=%d;level=%d;subtrees=%d;dict=%.12s",
-		len(s.Stores), s.Man.PartitionLevel, s.Man.Subtrees, s.Man.DictHash)
-}
+func (s *Set) TopologyKey() string { return s.topo.Key }
 
 // Save writes the shard repositories next to the manifest at path
 // (which should end in ManifestExt). Shard file names derive from the
@@ -198,21 +246,24 @@ func (s *Set) Save(path string) error {
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return storage.WriteFileAtomic(path, append(data, '\n'))
 }
 
 // Fused returns the single-store view of the set, reconstructing the
-// original corpus from the shards and re-ingesting it on first use.
-// Queries the analyzer cannot scatter (whole-corpus aggregates,
-// multi-document joins, ORDER BY over the full result) run here, so
-// every query over a shard set has an answer — scatter is the fast
-// path, not the only path.
+// corpus from the members and re-ingesting it on first use. Queries
+// the analyzer cannot scatter (whole-corpus aggregates, multi-document
+// joins, ORDER BY over the full result) run here, so every query over
+// a set has an answer — scatter is the fast path, not the only path. A
+// one-member set is its own corpus and needs no re-ingest.
 func (s *Set) Fused(parallelism int) (*storage.Store, error) {
 	s.fuseOnce.Do(func() {
-		s.fusePar = parallelism
+		if len(s.Stores) == 1 {
+			s.fused = s.Stores[0]
+			return
+		}
 		xml, err := s.FuseXML()
 		if err != nil {
-			s.fuseErr = fmt.Errorf("shard: reconstructing corpus: %w", err)
+			s.fuseErr = fmt.Errorf("%s: reconstructing corpus: %w", s.topo.Member, err)
 			return
 		}
 		s.fused, s.fuseErr = storage.Load(xml, storage.LoadOptions{Parallelism: parallelism})
@@ -220,11 +271,14 @@ func (s *Set) Fused(parallelism int) (*storage.Store, error) {
 	return s.fused, s.fuseErr
 }
 
-// FuseXML reconstructs the original document from the shards: the
+// FuseXML reconstructs the whole corpus document from the members.
+func (s *Set) FuseXML() ([]byte, error) { return s.topo.FuseXML() }
+
+// fuseXML reconstructs the original document from the shards: the
 // spine (and its text) comes from shard 0, and each spine parent's
 // partitioned subtrees are re-interleaved from all shards in global
 // rank order — exactly inverting the round-robin split.
-func (s *Set) FuseXML() ([]byte, error) {
+func (s *Set) fuseXML() ([]byte, error) {
 	s0 := s.Stores[0]
 	level := s.Man.PartitionLevel
 

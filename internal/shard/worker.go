@@ -11,24 +11,25 @@ import (
 	"xquec/internal/xquery"
 )
 
-// Request is one shard evaluation request. The fields are plain data —
+// Request is one member evaluation request. The fields are plain data —
 // query text and scalar knobs — so the same request can cross an RPC
-// boundary unchanged. The parsed form rides along as an unexported
-// in-process optimization (compile once, fan out N times); a remote
-// worker simply re-parses the text.
+// boundary unchanged. The parsed form and the caller's program source
+// ride along as unexported in-process optimizations (compile once, fan
+// out N times); a remote worker simply re-parses the text.
 type Request struct {
 	// Query is the query text.
 	Query string
-	// Parallelism is the shard-local intra-query worker budget
+	// Parallelism is the member-local intra-query worker budget
 	// (engine.WithParallelism semantics; 0 = GOMAXPROCS).
 	Parallelism int
 
-	expr xquery.Expr // coordinator-parsed AST; nil forces a parse
+	expr    xquery.Expr                      // coordinator-parsed AST; nil forces a parse
+	program func(*storage.Store) *vm.Program // caller's per-store programs; nil compiles here
 }
 
-// Item is one shard result item: its global document-order rank and
-// its serialized XML/text. Serialization happens shard-side — failure
-// isolation demands that a corrupt shard fail inside its own worker,
+// Item is one member result item: its global document-order rank and
+// its serialized XML/text. Serialization happens member-side — failure
+// isolation demands that a corrupt member fail inside its own worker,
 // not during the merge — and bytes are what an RPC worker would ship
 // anyway.
 type Item struct {
@@ -36,7 +37,7 @@ type Item struct {
 	XML  []byte
 }
 
-// Stream is one shard's ordered result stream. Ranks are strictly
+// Stream is one member's ordered result stream. Ranks are strictly
 // non-decreasing; items sharing a binding share a rank and stay
 // adjacent.
 type Stream interface {
@@ -47,19 +48,19 @@ type Stream interface {
 	Close() error
 }
 
-// Worker evaluates requests against one shard. Implementations must
+// Worker evaluates requests against one member store. Implementations must
 // allow concurrent Query calls (the coordinator hedges stragglers by
 // re-dispatching to the same worker). The interface is deliberately
 // RPC-shaped: everything in is serializable, everything out is
 // (rank, bytes) pairs.
 type Worker interface {
-	// Shard returns the worker's shard index.
+	// Shard returns the worker's member index.
 	Shard() int
 	// Query starts an evaluation. ctx cancellation must abort it.
 	Query(ctx context.Context, req Request) (Stream, error)
 }
 
-// Workers returns the set's in-process workers (one per shard),
+// Workers returns the set's in-process workers (one per member),
 // building them on first use.
 func (s *Set) Workers() []Worker {
 	s.workersOnce.Do(func() {
@@ -71,7 +72,7 @@ func (s *Set) Workers() []Worker {
 	return s.workers
 }
 
-// inprocWorker evaluates on a goroutine against the local shard store.
+// inprocWorker evaluates on a goroutine against the local member store.
 type inprocWorker struct {
 	set   *Set
 	shard int
@@ -80,8 +81,8 @@ type inprocWorker struct {
 	plans map[string]*workerPlan
 }
 
-// workerPlan is one cached shard plan: the parsed form plus the
-// program compiled once against this worker's shard store and reused
+// workerPlan is one cached member plan: the parsed form plus the
+// program compiled once against this worker's member store and reused
 // across requests (the coordinator fans the same query out repeatedly
 // under hedging and repeated client calls).
 type workerPlan struct {
@@ -92,7 +93,7 @@ type workerPlan struct {
 func (w *inprocWorker) Shard() int { return w.shard }
 
 func (w *inprocWorker) Query(ctx context.Context, req Request) (Stream, error) {
-	pl, err := w.plan(req.Query, req.expr)
+	pl, err := w.plan(req)
 	if err != nil {
 		return nil, err
 	}
@@ -123,36 +124,46 @@ func (w *inprocWorker) Query(ctx context.Context, req Request) (Stream, error) {
 }
 
 // plan caches parsed+compiled queries per worker (the in-process
-// stand-in for a remote worker's plan cache). parsed, when non-nil, is
-// the coordinator's AST and skips the re-parse; the program is still
-// compiled per shard, since its operands resolve against this shard's
-// summary and containers.
-func (w *inprocWorker) plan(query string, parsed xquery.Expr) (*workerPlan, error) {
+// stand-in for a remote worker's plan cache). The request's AST, when
+// present, skips the re-parse; the program is still per member, since
+// its operands resolve against this member's summary and containers.
+// On a miss the request's program source (a prepared statement's
+// per-store cache) is asked first, so a program the caller already
+// compiled for this store is never compiled twice. The lock is not
+// held while compiling: two concurrent misses (a hedge) may both build
+// the same plan, and either may be kept.
+func (w *inprocWorker) plan(req Request) (*workerPlan, error) {
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	if pl, ok := w.plans[query]; ok {
+	pl, ok := w.plans[req.Query]
+	w.mu.Unlock()
+	if ok {
 		return pl, nil
 	}
-	expr := parsed
+	expr := req.expr
 	if expr == nil {
 		var err error
-		if expr, err = xquery.Parse(query); err != nil {
+		if expr, err = xquery.Parse(req.Query); err != nil {
 			return nil, err
 		}
 	}
-	pl := &workerPlan{expr: expr}
-	if prog, err := vm.Compile(expr, w.set.Stores[w.shard], query); err == nil {
+	pl = &workerPlan{expr: expr}
+	st := w.set.Stores[w.shard]
+	if req.program != nil {
+		pl.prog = req.program(st)
+	} else if prog, err := vm.Compile(expr, st, req.Query); err == nil {
 		pl.prog = prog
 	}
+	w.mu.Lock()
 	if w.plans == nil {
 		w.plans = map[string]*workerPlan{}
 	}
-	w.plans[query] = pl
+	w.plans[req.Query] = pl
+	w.mu.Unlock()
 	return pl, nil
 }
 
 // inprocStream adapts an engine result to the Stream interface,
-// stamping each item with its subtree rank. origin is written by the
+// stamping each item with its topology rank. origin is written by the
 // engine's bind hook strictly before the item it belongs to is
 // yielded, and the evaluation coroutine only advances inside Next, so
 // reading origin after Next is race-free.
@@ -170,9 +181,10 @@ func (s *inprocStream) Next() (Item, bool, error) {
 	if s.origin == 0 {
 		return Item{}, false, fmt.Errorf("shard: item has no binding origin (query was not scatter-analyzed?)")
 	}
-	rank, inSubtree := s.w.set.rankOf(s.w.shard, s.origin)
+	topo := &s.w.set.topo
+	rank, inSubtree := topo.Rank(s.w.shard, s.origin)
 	if !inSubtree {
-		return Item{}, false, fmt.Errorf("shard: binding %d of shard %d is a spine node", s.origin, s.w.shard)
+		return Item{}, false, fmt.Errorf("shard: binding %d of %s %d is a spine node", s.origin, topo.Member, s.w.shard)
 	}
 	xml, err := s.res.AppendItemXML(nil, it)
 	if err != nil {

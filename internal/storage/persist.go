@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"path/filepath"
 	"sort"
 
 	"xquec/internal/btree"
@@ -670,9 +671,51 @@ func (s *Store) reconstructDerived(buildIndex bool) error {
 
 func isAttrName(tag string) bool { return len(tag) > 0 && tag[0] == '@' }
 
-// SaveFile writes the repository to a file.
+// SaveFile writes the repository to a file, crash-safely (see
+// WriteFileAtomic).
 func (s *Store) SaveFile(path string) error {
-	return os.WriteFile(path, s.AppendBinary(nil), 0o644)
+	return WriteFileAtomic(path, s.AppendBinary(nil))
+}
+
+// WriteFileAtomic replaces the file at path with data so that a crash
+// at any point leaves either the old file or the new one, never a torn
+// mix: the bytes go to a temporary file in the same directory, which is
+// fsynced and renamed over path, and the directory is fsynced so the
+// rename itself is durable. Every repository, shard and segment file
+// and every set manifest is written through it.
+func WriteFileAtomic(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	tmp := f.Name()
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Chmod(tmp, 0o644)
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // OpenFile loads a repository from a file.

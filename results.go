@@ -30,26 +30,14 @@ import (
 // A Results is a single-consumer cursor. The Database it came from may
 // serve any number of concurrent queries, each with its own Results.
 //
-// On a sharded or segmented database a scattered query is backed by a
-// merging cursor (the shard coordinator's, or the segment merge)
-// instead of a single engine evaluation; the API and the item sequence
-// are identical, and Partial reports whether any shard was dropped
-// under the partial-results policy.
+// On a sharded or segmented database a scattered query is backed by
+// the coordinator's merging cursor instead of a single engine
+// evaluation; the API and the item sequence are identical, and Partial
+// reports whether any shard or segment was dropped under the
+// partial-results policy.
 type Results struct {
 	res *engine.Result
-	cur byteCursor
-}
-
-// byteCursor is the merged-stream backend contract: a single-consumer
-// cursor over pre-serialized items. shard.Cursor and segment.Cursor
-// both satisfy it, so Results wraps either interchangeably with the
-// plain engine result.
-type byteCursor interface {
-	Prime() error
-	Next() ([]byte, bool, error)
-	WriteXML(w io.Writer) (int, error)
-	Close() error
-	Len() int
+	cur *shard.Cursor
 }
 
 // Item is one result item. It is a lightweight handle — a stored node
@@ -138,14 +126,11 @@ func (r *Results) Len() int {
 	return r.res.Len()
 }
 
-// Partial reports whether any shard's results were dropped under the
-// partial-results policy (QueryOptions.PartialResults on a sharded
-// database). It is definitive once the cursor is exhausted; false for
-// every non-scattered query (segment merges are always fail-fast).
-func (r *Results) Partial() bool {
-	sc, ok := r.cur.(*shard.Cursor)
-	return ok && sc.Partial()
-}
+// Partial reports whether any shard's or segment's results were
+// dropped under the partial-results policy (QueryOptions.PartialResults
+// on a sharded or segmented database). It is definitive once the
+// cursor is exhausted; false for every query that did not scatter.
+func (r *Results) Partial() bool { return r.cur != nil && r.cur.Partial() }
 
 // SerializeXML renders the remaining items as XML/text, one item per
 // line.

@@ -47,7 +47,7 @@ type Writer struct {
 // are the write-path partitioning; a compacted set can be re-sharded
 // by re-compressing the decompressed corpus).
 func NewWriter(db *Database, opts Options) (*Writer, error) {
-	if db.set != nil {
+	if db.Sharded() {
 		return nil, fmt.Errorf("xquec: a sharded database is not appendable; compact to a single repository first")
 	}
 	if db.segs == nil {

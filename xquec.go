@@ -116,19 +116,18 @@ type Options struct {
 type Database struct {
 	store *storage.Store
 
-	// set and coord are non-nil for sharded databases (Options.Shards ≥
-	// 2 / Open on a shard-set manifest): the corpus lives in N shard
-	// repositories sharing one name dictionary, scatterable queries fan
-	// out across them, and everything else runs on the lazily fused
-	// single store (db.fused).
+	// set and coord are non-nil for partitioned databases — sharded
+	// (Options.Shards ≥ 2 / Open on a shard-set manifest) or segmented
+	// (a Writer's Commit / Open on a segment-set manifest): the corpus
+	// lives in N member repositories sharing one name dictionary,
+	// scatterable queries fan out across them, and everything else runs
+	// on the lazily fused single store (db.fused). Every read goes
+	// through set; for a segment set it is the set's View.
 	set   *shard.Set
 	coord *shard.Coordinator
 
-	// segs is non-nil for segmented databases (a Writer's Commit / Open
-	// on a segment-set manifest): the corpus is a base segment plus
-	// append segments sharing one name dictionary, scatterable queries
-	// evaluate per segment and merge in document order, the rest run on
-	// the lazily fused single store.
+	// segs is the write-side handle of a segmented database, consulted
+	// only by SaveFile and NewWriter.
 	segs *segment.Set
 }
 
@@ -355,29 +354,37 @@ func fromSet(set *shard.Set) *Database {
 	return &Database{set: set, coord: shard.NewCoordinator(set)}
 }
 
-func fromSegs(set *segment.Set) *Database {
-	return &Database{segs: set}
+func fromSegs(segs *segment.Set) *Database {
+	db := fromSet(segs.View())
+	db.segs = segs
+	return db
+}
+
+// partitioned reports whether the database is a set whose members are
+// named member ("shard" or "segment").
+func (db *Database) partitioned(member string) bool {
+	return db.set != nil && db.set.Member() == member
 }
 
 // Sharded reports whether the database is a shard set.
-func (db *Database) Sharded() bool { return db.set != nil }
+func (db *Database) Sharded() bool { return db.partitioned("shard") }
 
-// Shards returns the shard count (1 for a single repository).
+// Shards returns the shard count (1 for an unsharded database).
 func (db *Database) Shards() int {
-	if db.set != nil {
-		return db.set.Shards()
+	if db.Sharded() {
+		return len(db.set.Stores)
 	}
 	return 1
 }
 
 // Segmented reports whether the database is a segment set (opened from
 // a segment-set manifest or produced by a Writer).
-func (db *Database) Segmented() bool { return db.segs != nil }
+func (db *Database) Segmented() bool { return db.partitioned("segment") }
 
 // Segments returns the segment count (1 for an unsegmented database).
 func (db *Database) Segments() int {
-	if db.segs != nil {
-		return db.segs.Segments()
+	if db.Segmented() {
+		return len(db.set.Stores)
 	}
 	return 1
 }
@@ -392,41 +399,33 @@ func (db *Database) TopologyKey() string {
 	if db.set != nil {
 		return fmt.Sprintf("set=%p;%s", db.set, db.set.TopologyKey())
 	}
-	if db.segs != nil {
-		return fmt.Sprintf("segset=%p;%s", db.segs, db.segs.TopologyKey())
-	}
 	return fmt.Sprintf("store=%p", db.store)
 }
 
 // fused returns the single-store view: the store itself, or the
 // shard/segment set's lazily reconstructed fusion.
 func (db *Database) fused(parallelism int) (*storage.Store, error) {
-	if db.set != nil {
-		s, err := db.set.Fused(parallelism)
-		if err != nil {
-			return nil, tagErr(ErrCorruptRepository, err)
-		}
-		return s, nil
+	if db.set == nil {
+		return db.store, nil
 	}
-	if db.segs != nil {
-		s, err := db.segs.Fused(parallelism)
-		if err != nil {
-			return nil, tagErr(ErrCorruptRepository, err)
-		}
-		return s, nil
+	s, err := db.set.Fused(parallelism)
+	if err != nil {
+		return nil, tagErr(ErrCorruptRepository, err)
 	}
-	return db.store, nil
+	return s, nil
 }
 
 // SaveFile persists the database: one repository file, or — for a
 // sharded or segmented database — the manifest at path plus one
-// repository file per shard/segment next to it.
+// repository file per shard/segment next to it. Every file is replaced
+// crash-safely (temp file, fsync, rename), members before the manifest,
+// so a crash never leaves a torn file behind.
 func (db *Database) SaveFile(path string) error {
-	if db.set != nil {
-		return db.set.Save(path)
-	}
 	if db.segs != nil {
 		return db.segs.Save(path)
+	}
+	if db.set != nil {
+		return db.set.Save(path)
 	}
 	return db.store.SaveFile(path)
 }
@@ -445,13 +444,10 @@ func (db *Database) Bytes() []byte {
 // Decompress reconstructs the original XML document (modulo
 // insignificant whitespace) from the compressed repository — for a
 // sharded database, by re-interleaving the partitioned subtrees in
-// global document order.
+// global document order; for a segmented one, by concatenation.
 func (db *Database) Decompress() ([]byte, error) {
 	if db.set != nil {
 		return db.set.FuseXML()
-	}
-	if db.segs != nil {
-		return db.segs.FuseXML()
 	}
 	return db.store.Serialize(nil, 1)
 }
@@ -467,21 +463,24 @@ type QueryOptions struct {
 	// fan-out overhead.
 	Parallelism int
 
-	// PartialResults, on a sharded database, keeps a scattered query
-	// alive when individual shards fail: the failed shard's items are
-	// dropped, the rest merge normally, and Results.Partial reports
-	// true. The default (false) is fail-fast — any shard failure fails
-	// the query. Context expiry always fails the query under either
-	// policy. Ignored for single-repository databases and for queries
-	// that fall back to the fused store.
+	// PartialResults, on a sharded or segmented database, keeps a
+	// scattered query alive when individual shards or segments fail:
+	// the failed member's items are dropped, the rest merge normally,
+	// and Results.Partial reports true. The default (false) is
+	// fail-fast — any member failure fails the query. Context expiry
+	// always fails the query under either policy. Ignored for
+	// single-repository databases and for queries that fall back to the
+	// fused store.
 	PartialResults bool
-	// HedgeAfter, on a sharded database, re-dispatches a shard whose
-	// stream has produced nothing for this long (straggler hedging);
-	// the first evaluation to deliver wins and the other is cancelled.
-	// Results are identical with or without hedging. 0 disables.
+	// HedgeAfter, on a sharded or segmented database, re-dispatches a
+	// shard or segment whose stream has produced nothing for this long
+	// (straggler hedging); the first evaluation to deliver wins and the
+	// other is cancelled. Results are identical with or without
+	// hedging. 0 disables.
 	HedgeAfter time.Duration
-	// ShardFanout bounds how many shards evaluate concurrently on a
-	// sharded database. 0 means all shards at once.
+	// ShardFanout bounds how many shards or segments evaluate
+	// concurrently on a sharded or segmented database. 0 means all at
+	// once.
 	ShardFanout int
 }
 
@@ -507,20 +506,22 @@ func EvalEngine() string {
 // XQUEC_EVAL=tree (or a query shape the compiler refused) falls back
 // to a fresh tree-walking engine over the same store.
 //
-// On a sharded database the scatter analyzer decides the path: provably
-// decomposable queries fan out across the shards (each worker runs its
-// own per-shard compiled program) and merge in global document order;
-// the rest run on the fused single-store view. On a segmented database
-// the segment analyzer does the same per segment, merging streams
-// through the k-way rank heap with rank = segment index. All paths
-// return byte-identical results to a single-repository database over
-// the same corpus.
+// On a sharded or segmented database the scatter analyzer decides the
+// path: provably decomposable queries fan out across the members (each
+// worker runs its own per-member compiled program) and merge in global
+// document order; the rest run on the fused single-store view, and a
+// one-member set runs on its only store. All paths return
+// byte-identical results to a single-repository database over the
+// same corpus.
 func (p *Prepared) run(ctx context.Context, opts QueryOptions) (*Results, error) {
 	db := p.db
 	st := db.store
-	if db.set != nil {
-		if dec := shard.Analyze(p.expr, db.set); dec.Scatter {
-			cur, err := db.coord.ScatterExpr(ctx, p.text, p.expr, shard.Options{
+	if set := db.set; set != nil {
+		switch {
+		case len(set.Stores) == 1:
+			st = set.Stores[0]
+		case shard.Analyze(p.expr, set).Scatter:
+			cur, err := db.coord.ScatterExpr(ctx, p.text, p.expr, p.program, shard.Options{
 				Partial:     opts.PartialResults,
 				HedgeAfter:  opts.HedgeAfter,
 				Fanout:      opts.ShardFanout,
@@ -534,40 +535,8 @@ func (p *Prepared) run(ctx context.Context, opts QueryOptions) (*Results, error)
 				return nil, tagErr(ErrEval, err)
 			}
 			return &Results{cur: cur}, nil
-		}
-		shard.CountFallback()
-		var err error
-		if st, err = db.fused(opts.Parallelism); err != nil {
-			return nil, err
-		}
-	}
-	if db.segs != nil {
-		switch {
-		case db.segs.Segments() == 1:
-			// A single-segment set is just its base store; skip the merge
-			// machinery entirely.
-			st = db.segs.Stores[0]
 		default:
-			if dec := segment.Analyze(p.expr, db.segs); dec.Scatter {
-				var progFor func(*storage.Store) *vm.Program
-				if vm.Enabled() {
-					progFor = p.program
-				}
-				cur, err := segment.Eval(db.segs, p.expr, segment.EvalOptions{
-					Ctx:         ctx,
-					Parallelism: opts.Parallelism,
-					ProgramFor:  progFor,
-					Text:        p.text,
-				})
-				if err != nil {
-					return nil, tagErr(ErrEval, err)
-				}
-				if err := cur.Prime(); err != nil {
-					cur.Close()
-					return nil, tagErr(ErrEval, err)
-				}
-				return &Results{cur: cur}, nil
-			}
+			shard.CountFallback()
 			var err error
 			if st, err = db.fused(opts.Parallelism); err != nil {
 				return nil, err
@@ -651,9 +620,9 @@ func (db *Database) Prepare(q string) (*Prepared, error) {
 	}
 	p := &Prepared{db: db, expr: expr, text: q}
 	if vm.Enabled() {
-		// Sharded databases compile against shard 0: the shards share
-		// one summary shape, so its program is every worker's program
-		// for size/len reporting (workers compile their own copy).
+		// Partitioned databases compile against member 0: the members
+		// share one summary shape, so its program is every worker's
+		// program for size/len reporting (workers get their own).
 		p.program(p.planStore())
 	}
 	return p, nil
@@ -673,15 +642,7 @@ type Prepared struct {
 // planStore is the store whose compiled program represents this query
 // for reporting (the store itself; shard 0 when sharded; the base
 // segment when segmented).
-func (p *Prepared) planStore() *storage.Store {
-	if p.db.set != nil {
-		return p.db.set.Stores[0]
-	}
-	if p.db.segs != nil {
-		return p.db.segs.Stores[0]
-	}
-	return p.db.store
-}
+func (p *Prepared) planStore() *storage.Store { return p.db.memberStores()[0] }
 
 // program returns the compiled program for st, compiling on first use.
 // A failed compilation is cached as nil, pinning the query to the
@@ -777,11 +738,12 @@ func (p *Prepared) RunWith(ctx context.Context, opts QueryOptions) (*Results, er
 // Explain renders the evaluation strategy for a query without running
 // it: summary accesses, compressed-domain predicate pushdowns, and the
 // join strategies (compressed merge join vs decompressing hash join).
-// On a sharded database the scatter decision leads, followed by the
-// per-shard plan (shard repositories share one summary shape, so shard
-// 0's plan is every shard's plan).
+// On a sharded or segmented database the scatter decision leads,
+// followed by the per-member plan (members share one summary shape, so
+// member 0's plan is every member's plan).
 func (db *Database) Explain(q string) (string, error) {
-	if db.set == nil && db.segs == nil {
+	set := db.set
+	if set == nil {
 		return engine.New(db.store).Explain(q)
 	}
 	expr, err := xquery.Parse(q)
@@ -789,28 +751,14 @@ func (db *Database) Explain(q string) (string, error) {
 		return "", tagErr(ErrParse, err)
 	}
 	var head string
-	var st *storage.Store
-	if db.set != nil {
-		st = db.set.Stores[0]
-		if dec := shard.Analyze(expr, db.set); dec.Scatter {
-			head = fmt.Sprintf("scatter across %d shards, merge by document order\n", db.set.Shards())
-		} else {
-			head = fmt.Sprintf("no scatter (%s); evaluate on fused store\n", dec.Reason)
-		}
+	if len(set.Stores) == 1 {
+		head = fmt.Sprintf("single %s; evaluate directly\n", set.Member())
+	} else if dec := shard.Analyze(expr, set); dec.Scatter {
+		head = fmt.Sprintf("scatter across %d %ss, merge by document order\n", len(set.Stores), set.Member())
 	} else {
-		st = db.segs.Stores[0]
-		switch {
-		case db.segs.Segments() == 1:
-			head = "single segment; evaluate directly\n"
-		default:
-			if dec := segment.Analyze(expr, db.segs); dec.Scatter {
-				head = fmt.Sprintf("scatter across %d segments, merge by segment order\n", db.segs.Segments())
-			} else {
-				head = fmt.Sprintf("no scatter (%s); evaluate on fused store\n", dec.Reason)
-			}
-		}
+		head = fmt.Sprintf("no scatter (%s); evaluate on fused store\n", dec.Reason)
 	}
-	plan, err := engine.New(st).Explain(q)
+	plan, err := engine.New(set.Stores[0]).Explain(q)
 	if err != nil {
 		return "", err
 	}
@@ -820,22 +768,15 @@ func (db *Database) Explain(q string) (string, error) {
 // ExplainProgram returns the compiled bytecode program's disassembly
 // for a query — opcodes, operands, and the containers and summary
 // paths resolved at compile time — the companion to Explain's
-// tree-level plan. On a sharded database the program shown is shard
-// 0's (shard repositories share one summary shape). An empty string
-// means the query runs on the tree walker.
+// tree-level plan. On a sharded or segmented database the program
+// shown is member 0's (members share one summary shape). An empty
+// string means the query runs on the tree walker.
 func (db *Database) ExplainProgram(q string) (string, error) {
 	expr, err := xquery.Parse(q)
 	if err != nil {
 		return "", tagErr(ErrParse, err)
 	}
-	st := db.store
-	if db.set != nil {
-		st = db.set.Stores[0]
-	}
-	if db.segs != nil {
-		st = db.segs.Stores[0]
-	}
-	prog, err := vm.Compile(expr, st, q)
+	prog, err := vm.Compile(expr, db.memberStores()[0], q)
 	if err != nil {
 		return "", nil
 	}
@@ -855,7 +796,7 @@ func (db *Database) MustQuery(q string) *Results {
 // for the serialized repository (summed over the shards/segments when
 // sharded or segmented).
 func (db *Database) CompressionFactor() float64 {
-	if db.set == nil && db.segs == nil {
+	if db.set == nil {
 		return db.store.CompressionFactor()
 	}
 	s := db.Stats()
@@ -868,11 +809,8 @@ func (db *Database) CompressionFactor() float64 {
 // memberStores lists every physical store of the database: the single
 // repository, or all shard/segment members.
 func (db *Database) memberStores() []*storage.Store {
-	switch {
-	case db.set != nil:
+	if db.set != nil {
 		return db.set.Stores
-	case db.segs != nil:
-		return db.segs.Stores
 	}
 	return []*storage.Store{db.store}
 }
@@ -924,11 +862,8 @@ func (db *Database) StructureBitsPerNode() float64 {
 // single repository; a segment set duplicates only the root element
 // per segment).
 func (db *Database) Stats() Stats {
-	switch {
-	case db.set != nil:
-		return aggStats(db.set.Stores, db.set.Man.OriginalSize)
-	case db.segs != nil:
-		return aggStats(db.segs.Stores, db.segs.OriginalSize())
+	if db.set != nil {
+		return aggStats(db.set.Stores, db.set.OriginalSize())
 	}
 	return storeStats(db.store, db.store.OriginalSize)
 }
@@ -971,13 +906,7 @@ func storeStats(st *storage.Store, original int) Stats {
 // representative). Zero for databases opened from disk — the timings
 // describe a Compress run, not the repository itself.
 func (db *Database) IngestStats() storage.BuildStats {
-	if db.set != nil {
-		return db.set.Stores[0].Build
-	}
-	if db.segs != nil {
-		return db.segs.Stores[0].Build
-	}
-	return db.store.Build
+	return db.memberStores()[0].Build
 }
 
 // Stats is a database summary.
@@ -1016,27 +945,21 @@ type ContainerInfo struct {
 // containers (Shard/Segment identifies the owner; the same path
 // appears once per member holding values for it).
 func (db *Database) Containers() []ContainerInfo {
-	if db.set != nil {
-		var out []ContainerInfo
-		for si, st := range db.set.Stores {
-			for _, ci := range storeContainers(st) {
-				ci.Shard = si
-				out = append(out, ci)
-			}
-		}
-		return out
+	if db.set == nil {
+		return storeContainers(db.store)
 	}
-	if db.segs != nil {
-		var out []ContainerInfo
-		for si, st := range db.segs.Stores {
-			for _, ci := range storeContainers(st) {
-				ci.Segment = si
-				out = append(out, ci)
+	var out []ContainerInfo
+	for i, st := range db.set.Stores {
+		for _, ci := range storeContainers(st) {
+			if db.Sharded() {
+				ci.Shard = i
+			} else {
+				ci.Segment = i
 			}
+			out = append(out, ci)
 		}
-		return out
 	}
-	return storeContainers(db.store)
+	return out
 }
 
 func storeContainers(st *storage.Store) []ContainerInfo {

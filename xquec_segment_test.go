@@ -12,6 +12,7 @@ import (
 	"xquec"
 	"xquec/internal/datagen"
 	"xquec/internal/segment"
+	"xquec/internal/shard"
 	"xquec/internal/xmarkq"
 )
 
@@ -370,6 +371,98 @@ func TestWriterValidation(t *testing.T) {
 	}
 	if _, err := xquec.NewWriter(sharded, xquec.Options{}); err == nil {
 		t.Fatal("writer over a sharded database accepted")
+	}
+}
+
+// TestSegmentQueriesCounted checks that segment-set queries reach the
+// process-wide scatter counters xquecd exports as xquecd_shard_*: a
+// scattered query counts one scatter, one stream per segment and one
+// merged item per result item; a declined query counts one fallback.
+func TestSegmentQueriesCounted(t *testing.T) {
+	db := segmentedDB(t, segDocs(t, 3, 0.01))
+	s0 := shard.Snapshot()
+	items := execXML(t, db, `FOR $p IN /site/people/person RETURN $p/name/text()`, xquec.QueryOptions{})
+	s1 := shard.Snapshot()
+	n := int64(strings.Count(items, "\n") + 1)
+	if d := s1.ScatterQueries - s0.ScatterQueries; d != 1 {
+		t.Errorf("scatter: ScatterQueries delta = %d, want 1", d)
+	}
+	if d := s1.FallbackQueries - s0.FallbackQueries; d != 0 {
+		t.Errorf("scatter: FallbackQueries delta = %d, want 0", d)
+	}
+	if d := s1.ShardStreams - s0.ShardStreams; d != 3 {
+		t.Errorf("scatter: ShardStreams delta = %d, want 3 (one per segment)", d)
+	}
+	if d := s1.MergedItems - s0.MergedItems; d != n {
+		t.Errorf("scatter: MergedItems delta = %d, want %d", d, n)
+	}
+
+	execXML(t, db, `count(/site/people/person)`, xquec.QueryOptions{})
+	s2 := shard.Snapshot()
+	if d := s2.FallbackQueries - s1.FallbackQueries; d != 1 {
+		t.Errorf("fallback: FallbackQueries delta = %d, want 1", d)
+	}
+	if d := s2.ScatterQueries - s1.ScatterQueries; d != 0 {
+		t.Errorf("fallback: ScatterQueries delta = %d, want 0", d)
+	}
+	if d := s2.ShardStreams - s1.ShardStreams; d != 0 {
+		t.Errorf("fallback: ShardStreams delta = %d, want 0", d)
+	}
+}
+
+// TestFailedSaveKeepsPreviousGeneration makes a commit's save fail
+// partway — the next segment file's path is occupied by a directory —
+// and checks that the previous generation survives on disk: the
+// manifest is byte-identical and Open answers as before.
+func TestFailedSaveKeepsPreviousGeneration(t *testing.T) {
+	docs := segDocs(t, 3, 0.01)
+	base, err := xquec.Compress(docs[0], xquec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := xquec.NewWriter(base, xquec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "repo.xqcg")
+	w.BindFile(path)
+	if err := w.Append(docs[1]); err != nil {
+		t.Fatal(err)
+	}
+	prev, err := w.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const q = `FOR $p IN /site/people/person RETURN $p/name/text()`
+	want := execXML(t, prev, q, xquec.QueryOptions{})
+	manifest := readFileT(t, path)
+
+	// The third segment (naming sequence 2) cannot be written.
+	if err := os.Mkdir(filepath.Join(dir, "repo.seg-000002.xqc"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(docs[2]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Commit(); err == nil {
+		t.Fatal("commit over an unwritable segment path succeeded")
+	}
+	if got := readFileT(t, path); string(got) != string(manifest) {
+		t.Fatalf("failed save changed the manifest:\n got: %s\nwant: %s", got, manifest)
+	}
+	if w.DB() != prev {
+		t.Fatal("failed commit published a new handle")
+	}
+	re, err := xquec.Open(path)
+	if err != nil {
+		t.Fatalf("reopen after failed save: %v", err)
+	}
+	if re.Segments() != 2 {
+		t.Fatalf("reopened Segments() = %d, want 2", re.Segments())
+	}
+	if got := execXML(t, re, q, xquec.QueryOptions{}); got != want {
+		t.Fatalf("reopened answers differ from the previous generation")
 	}
 }
 
