@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check build test race vet vet-unsafeptr apicheck refbench-test bench-serve bench bench-query bench-par bench-shard bench-codec bench-vm bench-append bench-succinct bench-succinct-smoke bench-diff bench-paper fuzz-smoke
+.PHONY: check build test race vet vet-unsafeptr refbench-test bench-serve bench bench-query bench-par bench-shard bench-codec bench-vm bench-append bench-succinct bench-succinct-smoke bench-diff bench-paper fuzz-smoke
 
-check: vet vet-unsafeptr apicheck build race refbench-test bench bench-succinct-smoke bench-diff-advisory ## tier-1: vet + deprecated-API gate + build + race-clean tests + harness tests + bench smoke
+check: vet vet-unsafeptr build race refbench-test bench bench-succinct-smoke bench-diff-advisory ## tier-1: vet + build + race-clean tests + harness tests + bench smoke
 
 vet:
 	$(GO) vet ./...
@@ -15,16 +15,6 @@ vet:
 # hot paths is vetted.
 vet-unsafeptr:
 	$(GO) vet -unsafeptr ./...
-
-# Deprecated-API gate: commands, examples and internal packages must use
-# the consolidated entry points (Compress with Options.Shards, Execute)
-# instead of the deprecated wrappers the root package keeps for
-# compatibility. Root-package tests exercising the wrappers are exempt.
-apicheck:
-	@bad=$$(grep -rn --include='*.go' --exclude='*_test.go' -E '(CompressSharded|\.QueryWith|\.QueryContext|\.RunWith|\.RunContext)\(' cmd examples internal || true); \
-	if [ -n "$$bad" ]; then \
-		echo "deprecated xquec API usage (use Compress/Execute):"; echo "$$bad"; exit 1; \
-	fi
 
 build:
 	$(GO) build ./...
@@ -54,11 +44,11 @@ bench: bench-query bench-par bench-shard bench-codec bench-vm bench-append bench
 	| /tmp/benchjson -o BENCH_ingest.json -label ingest+decode+serve
 
 # Streaming result-path benchmarks: time-to-first-item at 10×-apart
-# cardinalities (must stay flat) and WriteXML-vs-SerializeXML
-# allocation counts. Appends to BENCH_query.json.
+# cardinalities (must stay flat) and WriteXML allocation counts.
+# Appends to BENCH_query.json.
 bench-query:
 	@$(GO) build -o /tmp/benchjson ./cmd/benchjson
-	$(GO) test -run '^$$' -bench 'BenchmarkFirstResult|BenchmarkWriteXML|BenchmarkSerializeXML' -benchmem . \
+	$(GO) test -run '^$$' -bench 'BenchmarkFirstResult|BenchmarkWriteXML' -benchmem . \
 	| /tmp/benchjson -o BENCH_query.json -label query-streaming
 
 # Intra-query parallelism benchmarks: the partitioned container scan
@@ -113,10 +103,11 @@ bench-succinct:
 bench-succinct-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSuccinct' -benchtime 1x . >/dev/null
 
-# Compiled-plan engine benchmarks: the same streaming/predicate
-# workloads on the stack VM vs the tree-walking oracle (per-item
-# dispatch cost, first-item latency, allocs). Appends to BENCH_vm.json;
-# the before/after record lives in EXPERIMENTS.md.
+# Compiled-plan engine benchmarks: per-item dispatch cost, first-item
+# latency and allocs of streaming/predicate workloads on the stack VM
+# (the only evaluator; sub-benchmarks keep their "engine=vm" names so
+# older records stay comparable). Appends to BENCH_vm.json; the
+# historical VM-vs-tree-walker record lives in EXPERIMENTS.md.
 bench-vm:
 	@$(GO) build -o /tmp/benchjson ./cmd/benchjson
 	$(GO) test -run '^$$' -bench 'BenchmarkVM(Stream|FirstResult|Predicate)' -benchmem . \

@@ -30,7 +30,7 @@ func shardBenchRepo(b *testing.B, shards int) *Database {
 			if n == 0 {
 				db, err = Compress(doc, Options{})
 			} else {
-				db, err = CompressSharded(doc, n, Options{})
+				db, err = buildShardSet(doc, n, Options{})
 			}
 			if err != nil {
 				shardBenchDBs.err = err
@@ -56,14 +56,14 @@ func runShardQuery(b *testing.B, q string) {
 			// Warm up once untimed: the fallback path fuses the corpus
 			// lazily (sync.Once) on its first query, a one-time cost that
 			// would otherwise be billed to iteration 0.
-			if res, err := db.Query(q); err == nil {
+			if res, err := db.Execute(context.Background(), q, QueryOptions{}); err == nil {
 				res.Len()
 				res.Close()
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := db.QueryWith(context.Background(), q, QueryOptions{})
+				res, err := db.Execute(context.Background(), q, QueryOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}

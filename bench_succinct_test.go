@@ -152,11 +152,11 @@ func BenchmarkSuccinctQuery(b *testing.B) {
 		for _, q := range xmarkq.Queries()[:4] {
 			b.Run(bk.name+"/"+q.ID, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					res, err := db.QueryWith(context.Background(), q.Text, xquec.QueryOptions{})
+					res, err := db.Execute(context.Background(), q.Text, xquec.QueryOptions{})
 					if err != nil {
 						b.Fatal(err)
 					}
-					if _, err := res.SerializeXML(); err != nil {
+					if _, err := drainXML(res); err != nil {
 						b.Fatal(err)
 					}
 					res.Close()

@@ -1,21 +1,15 @@
-// Benchmarks for the compiled-plan engine: the same streaming workload
-// on the stack VM (default) and on the tree-walking oracle
-// (XQUEC_EVAL=tree), so the per-item dispatch saving of replacing the
-// coroutine-hop cursor with the VM run loop is measured directly.
-// `make bench-vm` appends both to BENCH_vm.json via cmd/benchjson.
+// Benchmarks for the compiled-plan engine: per-item dispatch cost,
+// first-item latency and a predicate workload on the stack VM. The
+// sub-benchmarks keep their historical "engine=vm" names so records in
+// BENCH_vm.json stay comparable across commits. `make bench-vm` appends
+// them to BENCH_vm.json via cmd/benchjson.
 package xquec
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
-
-// vmBenchEngines maps the sub-benchmark label to the XQUEC_EVAL value
-// selecting that engine.
-var vmBenchEngines = []struct{ label, env string }{
-	{"vm", ""},
-	{"tree", "tree"},
-}
 
 // BenchmarkVMStream drains a fixed-cardinality streaming query and
 // reports the per-item cost (ns/item) of the pull cursor: this is the
@@ -28,40 +22,37 @@ func BenchmarkVMStream(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, e := range vmBenchEngines {
-		b.Run("engine="+e.label, func(b *testing.B) {
-			b.Setenv("XQUEC_EVAL", e.env)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := prep.Run()
+	b.Run("engine=vm", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := prep.Execute(context.Background(), QueryOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			n := 0
+			for {
+				_, ok, err := res.Next()
 				if err != nil {
 					b.Fatal(err)
 				}
-				n := 0
-				for {
-					_, ok, err := res.Next()
-					if err != nil {
-						b.Fatal(err)
-					}
-					if !ok {
-						break
-					}
-					n++
+				if !ok {
+					break
 				}
-				res.Close()
-				if n != items {
-					b.Fatalf("drained %d items, want %d", n, items)
-				}
+				n++
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/items, "ns/item")
-		})
-	}
+			res.Close()
+			if n != items {
+				b.Fatalf("drained %d items, want %d", n, items)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/items, "ns/item")
+	})
 }
 
-// BenchmarkVMFirstResult is BenchmarkFirstResult's engine-split
-// variant: query-to-first-item latency on the VM vs the tree walker at
-// 10×-apart cardinalities (both must stay flat in n).
+// BenchmarkVMFirstResult is BenchmarkFirstResult over a prepared
+// statement: query-to-first-item latency at 10×-apart cardinalities
+// (must stay flat in n).
 func BenchmarkVMFirstResult(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		db := benchStreamDB(b, n)
@@ -69,28 +60,25 @@ func BenchmarkVMFirstResult(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, e := range vmBenchEngines {
-			b.Run(fmt.Sprintf("engine=%s/n=%d", e.label, n), func(b *testing.B) {
-				b.Setenv("XQUEC_EVAL", e.env)
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					res, err := prep.Run()
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, ok, err := res.Next(); !ok || err != nil {
-						b.Fatalf("first item: ok=%v err=%v", ok, err)
-					}
-					res.Close()
+		b.Run(fmt.Sprintf("engine=vm/n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := prep.Execute(context.Background(), QueryOptions{})
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if _, ok, err := res.Next(); !ok || err != nil {
+					b.Fatalf("first item: ok=%v err=%v", ok, err)
+				}
+				res.Close()
+			}
+		})
 	}
 }
 
 // BenchmarkVMPredicate runs a compressed-domain predicate query —
-// restrict + deferred filter + join-free FLWOR — end to end on both
-// engines, covering the opcode fast paths rather than raw emission.
+// restrict + deferred filter + join-free FLWOR — end to end, covering
+// the opcode fast paths rather than raw emission.
 func BenchmarkVMPredicate(b *testing.B) {
 	db := benchVMPredDB(b)
 	const q = `FOR $i IN /d/i WHERE $i/n >= 500 RETURN $i/v/text()`
@@ -98,29 +86,26 @@ func BenchmarkVMPredicate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, e := range vmBenchEngines {
-		b.Run("engine="+e.label, func(b *testing.B) {
-			b.Setenv("XQUEC_EVAL", e.env)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := prep.Run()
+	b.Run("engine=vm", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := prep.Execute(context.Background(), QueryOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for {
+				_, ok, err := res.Next()
 				if err != nil {
 					b.Fatal(err)
 				}
-				for {
-					_, ok, err := res.Next()
-					if err != nil {
-						b.Fatal(err)
-					}
-					if !ok {
-						break
-					}
+				if !ok {
+					break
 				}
-				res.Close()
 			}
-		})
-	}
+			res.Close()
+		}
+	})
 }
 
 // benchVMPredDB builds a repository with an integer container for the

@@ -6,11 +6,11 @@ import (
 	"io/fs"
 )
 
-// Typed error sentinels. Every error returned by Query, QueryContext,
-// Prepare, Prepared.Run/RunContext, Open, OpenBytes and the Results
-// cursor wraps one of these (plus the underlying cause) via multiple
-// %w-style unwrapping, so callers classify failures with errors.Is
-// instead of matching message strings:
+// Typed error sentinels. Every error returned by Execute, Prepare,
+// Prepared.Execute, Open, OpenBytes and the Results cursor wraps one
+// of these (plus the underlying cause) via multiple %w-style
+// unwrapping, so callers classify failures with errors.Is instead of
+// matching message strings:
 //
 //	if errors.Is(err, xquec.ErrParse) { ... }        // bad query text
 //	if errors.Is(err, xquec.ErrEval) { ... }         // query ran and failed

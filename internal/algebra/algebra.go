@@ -457,34 +457,14 @@ func JoinContainers(a, b *storage.Container) ([]Pair, bool, error) {
 // point).
 func TextContent(s *storage.Store, in NodeSet) ([]string, error) {
 	out := make([]string, len(in))
-	i := 0
-	err := TextContentEach(s, in, func(text string) bool {
-		out[i] = text
-		i++
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// TextContentEach is the pull-friendly form of TextContent: it decodes
-// the text value of one input node at a time and hands it to fn,
-// stopping early when fn returns false. A consumer that abandons the
-// iteration after N values therefore never decompresses value N+1 —
-// the operator-level half of the streaming-result contract.
-func TextContentEach(s *storage.Store, in NodeSet, fn func(text string) bool) error {
 	sc := storage.NewScratch()
 	defer sc.Release()
-	for _, id := range in {
+	for i, id := range in {
 		buf, err := s.TextScratch(sc, id)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if !fn(string(buf)) {
-			return nil
-		}
+		out[i] = string(buf)
 	}
-	return nil
+	return out, nil
 }

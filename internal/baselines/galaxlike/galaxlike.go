@@ -224,6 +224,9 @@ func (e *Engine) eval(expr xquery.Expr, env *scope) (Seq, error) {
 		case "div":
 			return Seq{ln / rn}, nil
 		case "mod":
+			if int64(rn) == 0 {
+				return nil, fmt.Errorf("galaxlike: modulo by zero")
+			}
 			return Seq{float64(int64(ln) % int64(rn))}, nil
 		}
 		return nil, fmt.Errorf("galaxlike: bad arithmetic op %s", x.Op)

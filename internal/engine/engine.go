@@ -42,15 +42,6 @@ type Engine struct {
 	// mutable state (joinIdx, sbuf, ctxTick) stays on the calling
 	// goroutine, so results are byte-identical at every setting.
 	par int
-	// bindHook, when armed, observes the top-level binding node each
-	// streamed item originates from: the clause-0 FOR binding of a
-	// top-level FLWOR, or the matched node of a top-level path. It fires
-	// on the evaluation goroutine strictly before the items derived from
-	// that binding are emitted, so a cursor consumer reading the last
-	// hooked node after Next sees the current item's origin. The shard
-	// coordinator uses this to assign each item a global document-order
-	// rank without touching serialization.
-	bindHook func(storage.NodeID)
 }
 
 // New returns an engine over the store. Evaluation is serial until
@@ -92,16 +83,6 @@ func (e *Engine) WithParallelism(n int) *Engine {
 	return e
 }
 
-// WithBindHook arms fn as the top-level binding observer (see the
-// bindHook field) and returns the engine. Only streamed evaluation
-// (EvalStream) fires the hook, and only for the streamable top-level
-// shapes; items produced by the eager fallback (aggregates, ORDER BY
-// rewrites) have no single origin node and never fire it.
-func (e *Engine) WithBindHook(fn func(storage.NodeID)) *Engine {
-	e.bindHook = fn
-	return e
-}
-
 // Store exposes the underlying repository.
 func (e *Engine) Store() *storage.Store { return e.store }
 
@@ -112,12 +93,6 @@ func (e *Engine) Query(src string) (*Result, error) {
 		return nil, err
 	}
 	return e.Eval(expr)
-}
-
-// QueryContext is Query with cancellation: the evaluation loop polls
-// ctx and aborts with ctx.Err() once it is done.
-func (e *Engine) QueryContext(ctx context.Context, src string) (*Result, error) {
-	return e.WithContext(ctx).Query(src)
 }
 
 // Eval evaluates a parsed query.
@@ -315,6 +290,9 @@ func (e *Engine) evalArith(x *xquery.Arith, env *scope) (Seq, error) {
 	case "div":
 		return Seq{ln / rn}, nil
 	case "mod":
+		if int64(rn) == 0 {
+			return nil, fmt.Errorf("engine: modulo by zero")
+		}
 		return Seq{float64(int64(ln) % int64(rn))}, nil
 	}
 	return nil, fmt.Errorf("engine: unknown arithmetic operator %s", x.Op)

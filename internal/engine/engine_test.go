@@ -23,6 +23,9 @@ const peopleDoc = `<site>
   </auctions>
 </site>`
 
+// PeopleDoc exports peopleDoc to the external engine_test package.
+const PeopleDoc = peopleDoc
+
 func newEngine(t *testing.T, doc string) *Engine {
 	t.Helper()
 	s, err := storage.Load([]byte(doc), storage.LoadOptions{})

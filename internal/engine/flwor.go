@@ -115,7 +115,7 @@ func (e *Engine) evalFLWOR(x *xquery.FLWOR, env *scope) (Seq, error) {
 	err := e.flworEach(x, env, func(v Seq) error {
 		out = append(out, v...)
 		return nil
-	}, nil)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -129,18 +129,9 @@ func (e *Engine) evalFLWOR(x *xquery.FLWOR, env *scope) (Seq, error) {
 // (the compressed merge join of the Q9 plan when the sides share a
 // source model) instead of rescanning per outer binding — handing each
 // RETURN chunk to emit as soon as its bindings are settled. An error
-// from emit aborts the tuple walk immediately, so a streaming consumer
-// that stops pulling also stops binding evaluation (and with it every
-// predicate-side decompression for the tuples never reached). When the
-// FLWOR has an ORDER BY, chunks are necessarily buffered and emitted
-// after the sort.
-//
-// hook, when non-nil, observes the clause-0 FOR binding node before the
-// tuples derived from it are walked (the Engine.bindHook contract). It
-// is threaded explicitly — not read from the engine — so nested FLWORs
-// evaluated inside RETURN/WHERE (which go through evalFLWOR) never fire
-// the top-level hook.
-func (e *Engine) flworEach(x *xquery.FLWOR, env *scope, emit func(Seq) error, hook func(storage.NodeID)) error {
+// from emit aborts the tuple walk immediately. When the FLWOR has an
+// ORDER BY, chunks are necessarily buffered and emitted after the sort.
+func (e *Engine) flworEach(x *xquery.FLWOR, env *scope, emit func(Seq) error) error {
 	plan := e.PlanFLWOR(x)
 	var tuples []Seq // buffered return chunks when ordering
 	var keys []string
@@ -212,11 +203,6 @@ func (e *Engine) flworEach(x *xquery.FLWOR, env *scope, emit func(Seq) error, ho
 				} else if !ok {
 					continue
 				}
-				if hook != nil && ci == 0 {
-					if id, isNode := it.(storage.NodeID); isNode {
-						hook(id)
-					}
-				}
 				if err := walk(ci+1, sub); err != nil {
 					return err
 				}
@@ -258,9 +244,6 @@ func (e *Engine) flworEach(x *xquery.FLWOR, env *scope, emit func(Seq) error, ho
 				return err
 			} else if !ok {
 				continue
-			}
-			if hook != nil && ci == 0 {
-				hook(id)
 			}
 			if err := walk(ci+1, sub); err != nil {
 				return err

@@ -55,20 +55,15 @@ func (e *Engine) evalPathPre(p *xquery.PathExpr, env *scope, pre [][]*storage.Su
 	return out, nil
 }
 
-// evalPathNodes evaluates the structural part of a path; if the final
-// step is text(), textTail is true and the returned nodes are the text
-// owners.
-func (e *Engine) evalPathNodes(p *xquery.PathExpr, env *scope) (pathState, bool, error) {
-	return e.evalPathNodesPre(p, env, nil)
-}
-
-// evalPathNodesPre is evalPathNodes with optional precomputed per-step
-// summary targets: pre[i], when non-nil, replaces the summaryTargets
-// call for step i (the bytecode compiler resolves step targets against
-// the structure summary once at compile time instead of per tuple).
-// Every other decision — exactness, predicate evaluation, structural
-// moves — is taken by the same code as the plain path, so results are
-// identical by construction.
+// evalPathNodesPre evaluates the structural part of a path; if the
+// final step is text(), textTail is true and the returned nodes are the
+// text owners. pre holds optional precomputed per-step summary targets:
+// pre[i], when non-nil, replaces the summaryTargets call for step i
+// (the bytecode compiler resolves step targets against the structure
+// summary once at compile time instead of per tuple). Every other
+// decision — exactness, predicate evaluation, structural moves — is
+// taken by the same code as with pre == nil, so results are identical
+// by construction.
 func (e *Engine) evalPathNodesPre(p *xquery.PathExpr, env *scope, pre [][]*storage.SummaryNode) (pathState, bool, error) {
 	st, err := e.pathOrigin(p, env)
 	if err != nil {

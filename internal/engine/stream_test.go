@@ -1,15 +1,25 @@
-package engine
+package engine_test
 
 import (
 	"context"
 	"io"
 	"strings"
 	"testing"
+
+	"xquec/internal/baselines/galaxlike"
+	"xquec/internal/engine"
+	"xquec/internal/storage"
+	"xquec/internal/vm"
+	"xquec/internal/xquery"
 )
 
-// streamQueries covers every top-level shape EvalStream dispatches on:
-// paths (with and without a text() tail), FLWOR (plain, nested, WHERE,
-// ORDER BY), sequences, and the eager fallbacks (aggregates,
+// The streaming cursor is the compiled program's result (vm.Program.Run);
+// these tests pin its contract over the engine's store, in an external
+// test package because vm imports engine.
+
+// streamQueries covers every top-level shape the cursor streams or
+// materializes: paths (with and without a text() tail), FLWOR (plain,
+// nested, WHERE, ORDER BY), sequences, and the eager shapes (aggregates,
 // constructors).
 var streamQueries = []string{
 	`document("d")/site/people/person/name/text()`,
@@ -26,65 +36,75 @@ var streamQueries = []string{
 	`<wrap>{/site/people/person/name}</wrap>`,
 }
 
-// TestStreamMatchesEager is the equivalence anchor: draining the
-// streaming cursor must be byte-identical to the eager evaluator for
-// every shape.
-func TestStreamMatchesEager(t *testing.T) {
-	e := newEngine(t, peopleDoc)
-	for _, q := range streamQueries {
-		want := run(t, e, q)
-		res, err := e.QueryStream(q)
-		if err != nil {
-			t.Fatalf("QueryStream(%s): %v", q, err)
-		}
-		got, err := res.SerializeXML()
-		if err != nil {
-			t.Fatalf("SerializeXML(%s): %v", q, err)
-		}
-		if got != want {
-			t.Fatalf("stream(%s) = %q, eager = %q", q, got, want)
-		}
-	}
-}
-
-func TestStreamNextAndLen(t *testing.T) {
-	e := newEngine(t, peopleDoc)
-	res, err := e.QueryStream(`/site/people/person/name/text()`)
+func streamStore(t *testing.T) *storage.Store {
+	t.Helper()
+	s, err := storage.Load([]byte(engine.PeopleDoc), storage.LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Len before any Next materializes without losing items.
-	if res.Len() != 3 {
-		t.Fatalf("Len = %d", res.Len())
+	return s
+}
+
+func streamRun(t *testing.T, s *storage.Store, q string, opts vm.RunOptions) *engine.Result {
+	t.Helper()
+	expr, err := xquery.Parse(q)
+	if err != nil {
+		t.Fatalf("parse %q: %v", q, err)
 	}
-	var names []string
-	for {
-		it, ok, err := res.Next()
+	prog, err := vm.Compile(expr, s, q)
+	if err != nil {
+		t.Fatalf("compile %q: %v", q, err)
+	}
+	res, err := prog.Run(opts)
+	if err != nil {
+		t.Fatalf("run %q: %v", q, err)
+	}
+	return res
+}
+
+// TestStreamMatchesEager is the equivalence anchor: draining the
+// streaming cursor must be byte-identical to the eager evaluator's
+// materialized result for every shape, and both must equal galaxlike
+// over the uncompressed document.
+func TestStreamMatchesEager(t *testing.T) {
+	s := streamStore(t)
+	e := engine.New(s)
+	ref := galaxlike.New([]byte(engine.PeopleDoc))
+	ref.ParsePerQuery = false
+	for _, q := range streamQueries {
+		eager, err := e.Query(q)
+		if err != nil {
+			t.Fatalf("Query(%s): %v", q, err)
+		}
+		want, err := eager.SerializeXML()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
-			break
+		oracle, err := ref.Query(q)
+		if err != nil {
+			t.Fatalf("galaxlike(%s): %v", q, err)
 		}
-		names = append(names, it.(string))
-	}
-	if strings.Join(names, ",") != "Alice,Bob,Carol" {
-		t.Fatalf("names = %v", names)
-	}
-	if res.Len() != 3 {
-		t.Fatalf("Len after drain = %d", res.Len())
+		if got, err := oracle.SerializeXML(); err != nil || got != want {
+			t.Fatalf("galaxlike(%s) = %q, %v; eager = %q", q, got, err, want)
+		}
+		res := streamRun(t, s, q, vm.RunOptions{})
+		var sb strings.Builder
+		_, err = res.WriteXML(&sb)
+		res.Close()
+		if err != nil {
+			t.Fatalf("WriteXML(%s): %v", q, err)
+		}
+		if sb.String() != want {
+			t.Fatalf("stream(%s) = %q, eager = %q", q, sb.String(), want)
+		}
 	}
 }
 
-// TestStreamEarlyClose stops consuming after one item; the generator
-// must unwind cleanly (no goroutine leak panics under -race, no error)
-// and the cursor must stay closed.
+// TestStreamEarlyClose stops consuming after one item; the run must
+// unwind cleanly (no leak or fault under -race, no error) and the
+// cursor must stay closed.
 func TestStreamEarlyClose(t *testing.T) {
-	e := newEngine(t, peopleDoc)
-	res, err := e.QueryStream(`FOR $p IN /site/people/person RETURN $p/name/text()`)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := streamRun(t, streamStore(t), `FOR $p IN /site/people/person RETURN $p/name/text()`, vm.RunOptions{})
 	if _, ok, err := res.Next(); !ok || err != nil {
 		t.Fatalf("first Next: ok=%v err=%v", ok, err)
 	}
@@ -96,28 +116,13 @@ func TestStreamEarlyClose(t *testing.T) {
 	}
 }
 
-func TestStreamEvalError(t *testing.T) {
-	e := newEngine(t, peopleDoc)
-	res, err := e.QueryStream(`$undefined`)
-	if err != nil {
-		t.Fatal(err) // construction succeeds; the error surfaces on pull
-	}
-	if _, ok, err := res.Next(); ok || err == nil {
-		t.Fatalf("Next = ok=%v err=%v, want error", ok, err)
-	}
-	// Sticky on repeat.
-	if _, _, err := res.Next(); err == nil {
-		t.Fatal("error not sticky")
-	}
-}
-
+// TestStreamContextCancel: cancelling the run's context between pulls
+// ends the stream with the context's error.
 func TestStreamContextCancel(t *testing.T) {
-	e := newEngine(t, peopleDoc)
 	ctx, cancel := context.WithCancel(context.Background())
-	res, err := e.WithContext(ctx).QueryStream(`/site/people/person/name/text()`)
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer cancel()
+	res := streamRun(t, streamStore(t), `/site/people/person/name/text()`, vm.RunOptions{Ctx: ctx})
+	defer res.Close()
 	if _, ok, err := res.Next(); !ok || err != nil {
 		t.Fatalf("first Next: ok=%v err=%v", ok, err)
 	}
@@ -127,13 +132,13 @@ func TestStreamContextCancel(t *testing.T) {
 	}
 }
 
+// TestStreamWriteXML: WriteXML drains the cursor, reports the bytes it
+// wrote, and writes nothing once drained.
 func TestStreamWriteXML(t *testing.T) {
-	e := newEngine(t, peopleDoc)
-	want := run(t, e, `/site/people/person/name/text()`)
-	res, err := e.QueryStream(`/site/people/person/name/text()`)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const q = `/site/people/person/name/text()`
+	const want = "Alice\nBob\nCarol"
+	res := streamRun(t, streamStore(t), q, vm.RunOptions{})
+	defer res.Close()
 	var sb strings.Builder
 	n, err := res.WriteXML(&sb)
 	if err != nil {
@@ -142,7 +147,6 @@ func TestStreamWriteXML(t *testing.T) {
 	if sb.String() != want || n != len(want) {
 		t.Fatalf("WriteXML = %q (%d bytes), want %q", sb.String(), n, len(want))
 	}
-	// Drained: another WriteXML writes nothing.
 	if n, err := res.WriteXML(io.Discard); n != 0 || err != nil {
 		t.Fatalf("second WriteXML = %d, %v", n, err)
 	}

@@ -5,9 +5,7 @@ package engine
 // and predicate containers at compile time and its run loop drives
 // binding iteration directly, but every set-at-a-time operation — path
 // navigation, compressed-domain container matches, join indexes,
-// per-tuple expression evaluation — runs through the same engine code
-// the tree walker uses, so the two evaluators are byte-identical by
-// construction wherever the VM delegates here.
+// per-tuple expression evaluation — runs through the engine code here.
 
 import (
 	"context"
@@ -28,8 +26,7 @@ type Env struct{ s *scope }
 func (e *Engine) NewEnv() *Env { return &Env{s: newScope()} }
 
 // Reset drops every binding (the VM emits a reset at each top-level
-// block boundary so sibling blocks cannot see each other's variables,
-// matching the tree walker's scoping).
+// block boundary so sibling blocks cannot see each other's variables).
 func (v *Env) Reset() { v.s = newScope() }
 
 // Bind sets a variable's value and summary provenance.
@@ -40,8 +37,7 @@ func (v *Env) Bind(name string, seq Seq, sums []*storage.SummaryNode) {
 
 // EvalExpr evaluates an arbitrary expression under env — the VM's
 // fallback for shapes it does not compile (nested FLWORs, constructors,
-// aggregates), identical to the tree walker because it IS the tree
-// walker.
+// aggregates), evaluated by the engine's expression evaluator.
 func (e *Engine) EvalExpr(x xquery.Expr, env *Env) (Seq, error) {
 	return e.eval(x, env.s)
 }
@@ -57,7 +53,7 @@ func (e *Engine) BindingSeq(x xquery.Expr, env *Env, pre [][]*storage.SummaryNod
 	return e.bindingSeqPre(x, env.s, pre)
 }
 
-// PathNodes evaluates the structural part of a path (evalPathNodes)
+// PathNodes evaluates the structural part of a path (evalPathNodesPre)
 // with optional precomputed per-step targets. textTail reports a final
 // text() step; the returned nodes are then the text owners.
 func (e *Engine) PathNodes(p *xquery.PathExpr, env *Env, pre [][]*storage.SummaryNode) (algebra.NodeSet, []*storage.SummaryNode, bool, error) {
@@ -121,7 +117,7 @@ func (e *Engine) ApplyJoinPushdown(pd Pushdown, cur algebra.NodeSet, sums []*sto
 func (e *Engine) CheckCancel() error { return e.checkCancel() }
 
 // ContextErr reports the armed context's error, nil when none is armed
-// (the up-front deadline check EvalStream performs).
+// (the VM's up-front deadline check, matching Eval's).
 func (e *Engine) ContextErr() error {
 	if e.ctx == nil {
 		return nil
@@ -131,12 +127,6 @@ func (e *Engine) ContextErr() error {
 
 // Context returns the armed context (nil when none).
 func (e *Engine) Context() context.Context { return e.ctx }
-
-// Hook returns the armed bind hook (nil when none); the VM fires it for
-// clause-0 FOR bindings and top-level path nodes, strictly before the
-// items derived from the binding are emitted — the WithBindHook
-// contract the shard workers' rank stamping relies on.
-func (e *Engine) Hook() func(storage.NodeID) { return e.bindHook }
 
 // NewPullResult wraps a pull function as this engine's streaming
 // Result — the adapter that lets the VM's run loop BE the cursor, with

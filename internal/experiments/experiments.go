@@ -16,10 +16,11 @@ import (
 	"xquec/internal/baselines/xmill"
 	"xquec/internal/baselines/xpress"
 	"xquec/internal/datagen"
-	"xquec/internal/engine"
 	"xquec/internal/storage"
+	"xquec/internal/vm"
 	"xquec/internal/xmarkq"
 	"xquec/internal/xmlparser"
+	"xquec/internal/xquery"
 )
 
 // Row is one line of an experiment's output.
@@ -151,9 +152,11 @@ func Figure6Right(scales []float64) ([]Row, error) {
 }
 
 // Figure7 runs the benchmark queries on the compressed engine and the
-// Galax-like baseline, reporting wall-clock times. XQueC's time
-// includes decompressing the query result (as in the paper);
-// the baseline's includes its full document parse.
+// Galax-like baseline, reporting wall-clock times. XQueC's time is the
+// shipping query path — parse, compile to the stack VM, run and
+// serialize (see runQuery) — so it includes decompressing the query
+// result (as in the paper); the baseline's includes its full document
+// parse.
 func Figure7(scale float64, repeat int) ([]Row, error) {
 	doc := datagen.XMark(datagen.XMarkConfig{Scale: scale, Seed: Seed})
 	store, err := storage.Load(doc, storage.LoadOptions{})
@@ -165,21 +168,17 @@ func Figure7(scale float64, repeat int) ([]Row, error) {
 	}
 	var rows []Row
 	for _, q := range xmarkq.Queries() {
-		// XQueC: fresh engine per run (no join-index reuse across runs).
+		// XQueC: fresh run per repetition (no join-index reuse across runs).
 		var xqDur time.Duration
 		var xqItems int
 		for i := 0; i < repeat; i++ {
-			e := engine.New(store)
 			start := time.Now()
-			res, err := e.Query(q.Text)
+			n, err := runQuery(store, q.Text)
 			if err != nil {
 				return nil, fmt.Errorf("xquec %s: %w", q.ID, err)
 			}
-			if _, err := res.WriteXML(io.Discard); err != nil {
-				return nil, err
-			}
 			xqDur += time.Since(start)
-			xqItems = res.Len()
+			xqItems = n
 		}
 		xq := xqDur.Seconds() / float64(repeat)
 		// Q9's three-way join is quadratic-to-cubic under the baseline's
@@ -308,12 +307,8 @@ func Figure4Q14(scale float64) ([]Row, error) {
 		return nil, err
 	}
 	startQ := time.Now()
-	e := engine.New(store)
-	res, err := e.Query(xmarkq.Q14)
+	items, err := runQuery(store, xmarkq.Q14)
 	if err != nil {
-		return nil, err
-	}
-	if _, err := res.WriteXML(io.Discard); err != nil {
 		return nil, err
 	}
 	qDur := time.Since(startQ)
@@ -337,8 +332,33 @@ func Figure4Q14(scale float64) ([]Row, error) {
 		{Name: "xgrind", Values: map[string]float64{"bytes_visited": float64(visitedG), "seconds": gDur.Seconds()}},
 		{Name: "xpress", Values: map[string]float64{"bytes_visited": float64(visitedP), "seconds": pDur.Seconds()}},
 		{Name: "xquec", Values: map[string]float64{"bytes_visited": float64(involved), "seconds": qDur.Seconds()},
-			Note: fmt.Sprintf("%d result items; all containers together hold %d bytes", res.Len(), touched)},
+			Note: fmt.Sprintf("%d result items; all containers together hold %d bytes", items, touched)},
 	}, nil
+}
+
+// runQuery evaluates q on store the way Database.Execute does —
+// parse, compile to the stack VM, run — and streams the serialized
+// result to io.Discard, returning the item count. It runs serially,
+// like the baselines. (This package cannot import the root package,
+// whose tests import it.)
+func runQuery(store *storage.Store, q string) (int, error) {
+	expr, err := xquery.Parse(q)
+	if err != nil {
+		return 0, err
+	}
+	prog, err := vm.Compile(expr, store, q)
+	if err != nil {
+		return 0, err
+	}
+	res, err := prog.Run(vm.RunOptions{Parallelism: 1})
+	if err != nil {
+		return 0, err
+	}
+	defer res.Close()
+	if _, err := res.WriteXML(io.Discard); err != nil {
+		return 0, err
+	}
+	return res.Len(), nil
 }
 
 func containsPath(p, sub string) bool { return strings.Contains(p, sub) }

@@ -32,7 +32,7 @@ func postExplain(t *testing.T, url string, req QueryRequest) (*ExplainResponse, 
 }
 
 // TestServerExplain: ?explain=1 plans without evaluating and returns
-// both the tree access plan and the compiled program disassembly.
+// both the access plan and the compiled program disassembly.
 func TestServerExplain(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
 	out, resp := postExplain(t, ts.URL, QueryRequest{
@@ -43,11 +43,8 @@ func TestServerExplain(t *testing.T) {
 		b, _ := io.ReadAll(resp.Body)
 		t.Fatalf("explain failed: %d %s", resp.StatusCode, b)
 	}
-	if out.Engine != "vm" {
-		t.Fatalf("engine = %q, want vm", out.Engine)
-	}
 	if out.Plan == "" {
-		t.Fatal("empty tree plan")
+		t.Fatal("empty access plan")
 	}
 	for _, want := range []string{"SCAN", "ITER", "EMITSEQ"} {
 		if !strings.Contains(out.Program, want) {
@@ -71,16 +68,21 @@ func TestServerExplain(t *testing.T) {
 	}
 }
 
-// TestServerEngineLabeledPlanMetrics: the plan cache splits hit/miss
-// traffic by engine on /metrics, sizes itself in compiled-program
-// bytes, and observes program lengths at compile time.
-func TestServerEngineLabeledPlanMetrics(t *testing.T) {
-	srv, ts := newTestServer(t, Config{})
+// TestServerPlanCacheMetrics: /metrics exports one unlabeled set of
+// plan-cache counters (hits, misses, evictions), the cache sizes itself
+// in compiled-program bytes, and program lengths are observed at
+// compile time.
+func TestServerPlanCacheMetrics(t *testing.T) {
+	srv, ts := newTestServer(t, Config{PlanCacheSize: 1})
 	q := QueryRequest{Repo: "numbers", Query: `count(/data/v)`}
 	for i := 0; i < 3; i++ {
 		if res, _ := postQuery(t, ts.URL, q); res == nil {
 			t.Fatal("query failed")
 		}
+	}
+	// A second distinct query evicts the first from the one-entry cache.
+	if res, _ := postQuery(t, ts.URL, QueryRequest{Repo: "numbers", Query: `sum(/data/v)`}); res == nil {
+		t.Fatal("query failed")
 	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -91,18 +93,17 @@ func TestServerEngineLabeledPlanMetrics(t *testing.T) {
 	b, _ := io.ReadAll(resp.Body)
 	body := string(b)
 	for _, want := range []string{
-		`xquecd_plancache_hits{engine="vm"} 2`,
-		`xquecd_plancache_hits{engine="tree"} 0`,
-		`xquecd_plancache_misses{engine="vm"} 1`,
-		`xquecd_plancache_evictions{engine="vm"} 0`,
-		`xquecd_program_len_count 1`,
-		// Legacy unlabeled totals stay authoritative.
+		"xquecd_program_len_count 2",
 		"xquecd_plan_cache_hits_total 2",
-		"xquecd_plan_cache_misses_total 1",
+		"xquecd_plan_cache_misses_total 2",
+		"xquecd_plan_cache_evictions_total 1",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)
 		}
+	}
+	if strings.Contains(body, "engine=") {
+		t.Fatalf("metrics still carry an engine label:\n%s", body)
 	}
 	m := regexp.MustCompile(`(?m)^xquecd_plan_cache_bytes (\d+)$`).FindStringSubmatch(body)
 	if m == nil {
@@ -116,7 +117,10 @@ func TestServerEngineLabeledPlanMetrics(t *testing.T) {
 	if st.SizeBytes <= 0 {
 		t.Fatalf("plan cache SizeBytes = %d, want > 0", st.SizeBytes)
 	}
-	if st.Entries != 1 || st.Hits != 2 || st.Misses != 1 {
+	if st.Entries != 1 || st.Hits != 2 || st.Misses != 2 || st.Evictions != 1 {
 		t.Fatalf("stats = %+v", st)
+	}
+	if snap := srv.Metrics().Snapshot(); snap.PlanHits != 2 || snap.PlanMisses != 2 || snap.PlanEvictions != 1 {
+		t.Fatalf("snapshot plan counters = %d/%d/%d", snap.PlanHits, snap.PlanMisses, snap.PlanEvictions)
 	}
 }

@@ -32,10 +32,9 @@ type PlanCache struct {
 type planKey struct{ repo, topo, query string }
 
 type planEntry struct {
-	key    planKey
-	prep   *xquec.Prepared
-	cost   int64  // resident size charged against the cache (CostBytes)
-	engine string // evaluation engine label at insertion ("vm"/"tree")
+	key  planKey
+	prep *xquec.Prepared
+	cost int64 // resident size charged against the cache (CostBytes)
 }
 
 // NewPlanCache returns a cache holding up to capacity plans (minimum 1).
@@ -65,10 +64,9 @@ func (c *PlanCache) Get(repo, topo, query string) *xquec.Prepared {
 // cache is full. Each entry is charged its Prepared.CostBytes — for
 // compiled plans that is the program's estimated resident size, so the
 // cache accounts for what it actually pins in memory, not just entry
-// count. Put returns the engine labels of any evicted entries (for
-// per-engine eviction metrics) and the cache's resident bytes after
-// the insertion.
-func (c *PlanCache) Put(repo, topo, query string, prep *xquec.Prepared) (evictedEngines []string, sizeBytes int64) {
+// count. Put returns the number of evicted entries and the cache's
+// resident bytes after the insertion.
+func (c *PlanCache) Put(repo, topo, query string, prep *xquec.Prepared) (evicted int, sizeBytes int64) {
 	k := planKey{repo, topo, query}
 	cost := int64(prep.CostBytes())
 	c.mu.Lock()
@@ -77,10 +75,10 @@ func (c *PlanCache) Put(repo, topo, query string, prep *xquec.Prepared) (evicted
 		c.lru.MoveToFront(el)
 		e := el.Value.(*planEntry)
 		c.bytes += cost - e.cost
-		e.prep, e.cost, e.engine = prep, cost, prep.EngineLabel()
-		return nil, c.bytes
+		e.prep, e.cost = prep, cost
+		return 0, c.bytes
 	}
-	c.entries[k] = c.lru.PushFront(&planEntry{key: k, prep: prep, cost: cost, engine: prep.EngineLabel()})
+	c.entries[k] = c.lru.PushFront(&planEntry{key: k, prep: prep, cost: cost})
 	c.bytes += cost
 	for c.lru.Len() > c.cap {
 		tail := c.lru.Back()
@@ -89,9 +87,9 @@ func (c *PlanCache) Put(repo, topo, query string, prep *xquec.Prepared) (evicted
 		delete(c.entries, e.key)
 		c.bytes -= e.cost
 		c.evictions++
-		evictedEngines = append(evictedEngines, e.engine)
+		evicted++
 	}
-	return evictedEngines, c.bytes
+	return evicted, c.bytes
 }
 
 // Invalidate drops every plan cached for repo (used when a repository

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"xquec"
@@ -76,8 +78,8 @@ func TestPlanCacheByteAccounting(t *testing.T) {
 	}
 	c.Put("r", "t", "q2", p2)
 	evicted, bytes := c.Put("r", "t", "q3", p3) // evicts q1 (LRU)
-	if len(evicted) != 1 || evicted[0] != p1.EngineLabel() {
-		t.Fatalf("evicted = %v", evicted)
+	if evicted != 1 {
+		t.Fatalf("evicted = %d", evicted)
 	}
 	if want := int64(p2.CostBytes() + p3.CostBytes()); bytes != want {
 		t.Fatalf("bytes after eviction = %d, want %d", bytes, want)
@@ -97,11 +99,13 @@ func TestPlanCacheExecutableEntries(t *testing.T) {
 	p := testPrepared(t, `count(/doc/a)`)
 	c.Put("r", "t", p.Text(), p)
 	got := c.Get("r", "t", p.Text())
-	res, err := got.Run()
+	res, err := got.Execute(context.Background(), xquec.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out, _ := res.SerializeXML(); out != "2" {
-		t.Fatalf("cached plan result = %q", out)
+	defer res.Close()
+	var sb strings.Builder
+	if _, err := res.WriteXML(&sb); err != nil || sb.String() != "2" {
+		t.Fatalf("cached plan result = %q, %v", sb.String(), err)
 	}
 }

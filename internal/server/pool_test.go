@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -150,7 +151,7 @@ func TestPoolEvictionDuringStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Query(`/doc/a/text()`)
+	res, err := db.Execute(context.Background(), `/doc/a/text()`, xquec.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,8 +181,12 @@ func TestPoolEvictionDuringStream(t *testing.T) {
 	if swapped == db {
 		t.Fatal("reload returned the evicted handle")
 	}
-	if out, _ := swapped.MustQuery(`/doc/a/text()`).SerializeXML(); out != "SWAPPED" {
-		t.Fatalf("swapped repo = %q", out)
+	out := swapped.MustQuery(`/doc/a/text()`)
+	defer out.Close()
+	if item, ok, err := out.Next(); err != nil || !ok {
+		t.Fatalf("swapped repo: ok=%v err=%v", ok, err)
+	} else if xml, _ := item.XML(); xml != "SWAPPED" {
+		t.Fatalf("swapped repo = %q", xml)
 	}
 
 	// The original cursor keeps streaming the original corpus.

@@ -337,16 +337,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // ExplainResponse is the /query?explain=1 response body: the access
-// plan from the tree explainer plus, when the query compiles, the
-// stack-VM program disassembly the server would actually execute.
+// plan plus the stack-VM program disassembly the server would actually
+// execute.
 type ExplainResponse struct {
-	Repo   string `json:"repo"`
-	Query  string `json:"query"`
-	Engine string `json:"engine"`
-	Plan   string `json:"plan"`
-	// Program is the compiled bytecode disassembly; empty when the
-	// query falls back to the tree walker.
-	Program string `json:"program,omitempty"`
+	Repo  string `json:"repo"`
+	Query string `json:"query"`
+	Plan  string `json:"plan"`
+	// Program is the compiled bytecode disassembly.
+	Program string `json:"program"`
 }
 
 // handleExplain answers POST /query?explain=1: it plans the query but
@@ -371,12 +369,8 @@ func (s *Server) handleExplain(w http.ResponseWriter, req QueryRequest) {
 		writeJSON(w, statusFor(err), errorResponse{err.Error()})
 		return
 	}
-	engine := xquec.EvalEngine()
-	if program == "" {
-		engine = "tree"
-	}
 	writeJSON(w, http.StatusOK, ExplainResponse{
-		Repo: req.Repo, Query: req.Query, Engine: engine, Plan: plan, Program: program,
+		Repo: req.Repo, Query: req.Query, Plan: plan, Program: program,
 	})
 }
 
@@ -405,21 +399,15 @@ func (s *Server) resolve(ctx context.Context, req QueryRequest) (res *xquec.Resu
 	planCached = prep != nil
 	if planCached {
 		s.metrics.PlanHits.Add(1)
-		s.metrics.AddPlanHit(prep.EngineLabel())
 	} else {
 		s.metrics.PlanMisses.Add(1)
 		prep, err = db.Prepare(req.Query)
 		if err != nil {
 			return nil, planCached, repoCached, statusFor(err), err
 		}
-		s.metrics.AddPlanMiss(prep.EngineLabel())
-		if n := prep.ProgramLen(); n > 0 {
-			s.metrics.ObserveProgramLen(n)
-		}
+		s.metrics.ObserveProgramLen(prep.ProgramLen())
 		evicted, bytes := s.plans.Put(req.Repo, topo, req.Query, prep)
-		for _, engine := range evicted {
-			s.metrics.AddPlanEviction(engine)
-		}
+		s.metrics.PlanEvictions.Add(int64(evicted))
 		s.metrics.PlanCacheBytes.Store(bytes)
 	}
 

@@ -69,9 +69,9 @@ func (c *Coordinator) Scatter(ctx context.Context, query string, opts Options) (
 // query (prepared statements, plan caches): no parse happens at all.
 // query must be the text expr was parsed from — it is what crosses an
 // RPC boundary to workers that cannot share the AST. program, when
-// non-nil, supplies the compiled program for a member store (nil = tree
-// walker) to workers that have not cached one yet.
-func (c *Coordinator) ScatterExpr(ctx context.Context, query string, expr xquery.Expr, program func(*storage.Store) *vm.Program, opts Options) (*Cursor, error) {
+// non-nil, supplies the compiled program for a member store to workers
+// that have not cached one yet.
+func (c *Coordinator) ScatterExpr(ctx context.Context, query string, expr xquery.Expr, program func(*storage.Store) (*vm.Program, error), opts Options) (*Cursor, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}

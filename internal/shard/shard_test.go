@@ -5,8 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"xquec/internal/baselines/galaxlike"
 	"xquec/internal/datagen"
-	"xquec/internal/engine"
 	"xquec/internal/shard"
 	"xquec/internal/storage"
 	"xquec/internal/xmarkq"
@@ -22,27 +22,20 @@ func xmarkDocSeed(scale float64, seed int64) []byte {
 	return datagen.XMark(datagen.XMarkConfig{Scale: scale, Seed: seed})
 }
 
-// unshardedXML evaluates the query on a single whole-corpus store.
+// unshardedXML is the reference answer: galaxlike, the DOM evaluator
+// over the uncompressed corpus, which shares no substrate with the
+// compressed engine.
 func unshardedXML(t *testing.T, src []byte, query string) string {
 	t.Helper()
-	st, err := storage.Load(src, storage.LoadOptions{})
+	res, err := galaxlike.New(src).Query(query)
 	if err != nil {
-		t.Fatalf("load: %v", err)
+		t.Fatalf("galaxlike %q: %v", query, err)
 	}
-	expr, err := xquery.Parse(query)
+	out, err := res.SerializeXML()
 	if err != nil {
-		t.Fatalf("parse: %v", err)
+		t.Fatalf("galaxlike serialize: %v", err)
 	}
-	res, err := engine.New(st).EvalStream(expr)
-	if err != nil {
-		t.Fatalf("eval: %v", err)
-	}
-	defer res.Close()
-	var sb strings.Builder
-	if _, err := res.WriteXML(&sb); err != nil {
-		t.Fatalf("serialize: %v", err)
-	}
-	return sb.String()
+	return out
 }
 
 func TestSplitRoundTrip(t *testing.T) {

@@ -23,8 +23,8 @@ type Request struct {
 	// (engine.WithParallelism semantics; 0 = GOMAXPROCS).
 	Parallelism int
 
-	expr    xquery.Expr                      // coordinator-parsed AST; nil forces a parse
-	program func(*storage.Store) *vm.Program // caller's per-store programs; nil compiles here
+	expr    xquery.Expr                               // coordinator-parsed AST; nil forces a parse
+	program func(*storage.Store) (*vm.Program, error) // caller's per-store programs; nil compiles here
 }
 
 // Item is one member result item: its global document-order rank and
@@ -78,44 +78,22 @@ type inprocWorker struct {
 	shard int
 
 	mu    sync.Mutex
-	plans map[string]*workerPlan
-}
-
-// workerPlan is one cached member plan: the parsed form plus the
-// program compiled once against this worker's member store and reused
-// across requests (the coordinator fans the same query out repeatedly
-// under hedging and repeated client calls).
-type workerPlan struct {
-	expr xquery.Expr
-	prog *vm.Program // nil: compile declined, evaluate on the tree walker
+	plans map[string]*vm.Program
 }
 
 func (w *inprocWorker) Shard() int { return w.shard }
 
 func (w *inprocWorker) Query(ctx context.Context, req Request) (Stream, error) {
-	pl, err := w.plan(req)
+	prog, err := w.plan(req)
 	if err != nil {
 		return nil, err
 	}
 	st := &inprocStream{w: w}
-	hook := func(id storage.NodeID) { st.origin = id }
-	if vm.Enabled() && pl.prog != nil {
-		res, err := pl.prog.Run(vm.RunOptions{
-			Ctx:         ctx,
-			Parallelism: req.Parallelism,
-			BindHook:    hook,
-		})
-		if err != nil {
-			return nil, err
-		}
-		st.res = res
-		return st, nil
-	}
-	eng := engine.New(w.set.Stores[w.shard]).
-		WithContext(ctx).
-		WithParallelism(req.Parallelism).
-		WithBindHook(hook)
-	res, err := eng.EvalStream(pl.expr)
+	res, err := prog.Run(vm.RunOptions{
+		Ctx:         ctx,
+		Parallelism: req.Parallelism,
+		BindHook:    func(id storage.NodeID) { st.origin = id },
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -123,50 +101,54 @@ func (w *inprocWorker) Query(ctx context.Context, req Request) (Stream, error) {
 	return st, nil
 }
 
-// plan caches parsed+compiled queries per worker (the in-process
-// stand-in for a remote worker's plan cache). The request's AST, when
-// present, skips the re-parse; the program is still per member, since
-// its operands resolve against this member's summary and containers.
-// On a miss the request's program source (a prepared statement's
-// per-store cache) is asked first, so a program the caller already
-// compiled for this store is never compiled twice. The lock is not
-// held while compiling: two concurrent misses (a hedge) may both build
-// the same plan, and either may be kept.
-func (w *inprocWorker) plan(req Request) (*workerPlan, error) {
+// plan caches compiled queries per worker (the in-process stand-in for
+// a remote worker's plan cache), reused across requests: the
+// coordinator fans the same query out repeatedly under hedging and
+// repeated client calls. The program is per member, since its operands
+// resolve against this member's summary and containers. On a miss the
+// request's program source (a prepared statement's per-store cache) is
+// asked first, so a program the caller already compiled for this store
+// is never compiled twice; otherwise the request's AST, when present,
+// skips the re-parse. The lock is not held while compiling: two
+// concurrent misses (a hedge) may both build the same plan, and either
+// may be kept.
+func (w *inprocWorker) plan(req Request) (*vm.Program, error) {
 	w.mu.Lock()
-	pl, ok := w.plans[req.Query]
+	prog, ok := w.plans[req.Query]
 	w.mu.Unlock()
 	if ok {
-		return pl, nil
+		return prog, nil
 	}
-	expr := req.expr
-	if expr == nil {
-		var err error
-		if expr, err = xquery.Parse(req.Query); err != nil {
-			return nil, err
-		}
-	}
-	pl = &workerPlan{expr: expr}
 	st := w.set.Stores[w.shard]
+	var err error
 	if req.program != nil {
-		pl.prog = req.program(st)
-	} else if prog, err := vm.Compile(expr, st, req.Query); err == nil {
-		pl.prog = prog
+		prog, err = req.program(st)
+	} else {
+		expr := req.expr
+		if expr == nil {
+			if expr, err = xquery.Parse(req.Query); err != nil {
+				return nil, err
+			}
+		}
+		prog, err = vm.Compile(expr, st, req.Query)
+	}
+	if err != nil {
+		return nil, err
 	}
 	w.mu.Lock()
 	if w.plans == nil {
-		w.plans = map[string]*workerPlan{}
+		w.plans = map[string]*vm.Program{}
 	}
-	w.plans[req.Query] = pl
+	w.plans[req.Query] = prog
 	w.mu.Unlock()
-	return pl, nil
+	return prog, nil
 }
 
 // inprocStream adapts an engine result to the Stream interface,
 // stamping each item with its topology rank. origin is written by the
-// engine's bind hook strictly before the item it belongs to is
-// yielded, and the evaluation coroutine only advances inside Next, so
-// reading origin after Next is race-free.
+// VM's bind hook strictly before the item it belongs to is yielded, and
+// the VM only advances inside Next, so reading origin after Next is
+// race-free.
 type inprocStream struct {
 	w      *inprocWorker
 	res    *engine.Result

@@ -18,7 +18,8 @@ import (
 // cheapest-container-first using the cost model's measured decode
 // costs. Shapes it does not specialize (ORDER BY, constructors, nested
 // FLWOR domains) lower to fallback instructions that call into the
-// tree evaluator, so compilation always succeeds on parseable input;
+// engine's expression evaluator, so compilation always succeeds on
+// parseable input;
 // the error return guards against compiler bugs (it converts panics),
 // keeping the fuzz contract checkable.
 func Compile(expr xquery.Expr, store *storage.Store, src string) (prog *Program, err error) {
@@ -77,9 +78,8 @@ func (c *compiler) addDom(spec domainSpec) int32 {
 }
 
 // top compiles one top-level block per sequence item. Each block gets a
-// fresh environment (OpReset): the tree walker never mutates the
-// top-level scope, so sibling blocks must not see each other's
-// variables.
+// fresh environment (OpReset): XQuery never mutates the top-level
+// scope, so sibling blocks must not see each other's variables.
 func (c *compiler) top(x xquery.Expr) {
 	if seq, ok := x.(*xquery.Sequence); ok {
 		for _, it := range seq.Items {
@@ -150,7 +150,7 @@ func (c *compiler) flwor(x *xquery.FLWOR) {
 		// clause summary is statically known resolve their containers
 		// now; the rest resolve (or defer) at runtime. Slots remember
 		// each pushdown's original plan position so deferred filters
-		// evaluate in tree-walker order no matter how restricts are
+		// evaluate in WHERE order no matter how restricts are
 		// reordered.
 		var lits, joins []int32
 		for slot, pd := range pds {
@@ -343,8 +343,8 @@ func decodeCost(name string) float64 {
 // losslessly). mod is excluded: the tree evaluator faults on zero
 // divisors at evaluation time and folding would move that fault to
 // compile time. Folding builds new nodes along changed spines only —
-// the input AST is shared with the tree oracle and with pushdown
-// conjunct identity, and is never mutated.
+// the input AST is shared with the prepared statement and with
+// pushdown conjunct identity, and is never mutated.
 func foldExpr(x xquery.Expr) xquery.Expr {
 	switch e := x.(type) {
 	case *xquery.Arith:

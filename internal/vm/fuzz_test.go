@@ -3,17 +3,18 @@ package vm
 import (
 	"testing"
 
-	"xquec/internal/engine"
 	"xquec/internal/xquery"
 )
 
 // FuzzCompile feeds arbitrary query text through the full
 // parse→compile→run pipeline and cross-checks the compiled program
-// against the tree-walking oracle: any input that parses must either
-// compile and produce byte-identical output (and identical errors), or
-// be declined by the compiler — never compile into a program that
-// disagrees. The seed corpus is the unit battery, so `go test` alone
-// replays every compiled construct through the differential check.
+// against galaxlike over the uncompressed document: any input that
+// parses must produce byte-identical output, or fail exactly when
+// galaxlike fails. Compile never declines parseable input (shapes it
+// does not specialize lower to OpEvalPush), so a compile error counts
+// as a failure. The seed corpus is the unit battery, so `go test`
+// alone replays every compiled construct through the differential
+// check.
 func FuzzCompile(f *testing.F) {
 	for _, q := range queryBattery() {
 		f.Add(q.Text)
@@ -26,38 +27,11 @@ func FuzzCompile(f *testing.F) {
 		if len(query) > 1024 {
 			return // keep eval cost bounded; long inputs add no coverage
 		}
-		expr, err := xquery.Parse(query)
-		if err != nil {
+		if _, err := xquery.Parse(query); err != nil {
 			return
 		}
-		prog, err := Compile(expr, s, query)
-		if err != nil {
-			return // declining is a legal fallback, miscompiling is not
-		}
-		vOut, vErr := func() (string, error) {
-			res, err := prog.Run(RunOptions{})
-			if err != nil {
-				return "", err
-			}
-			defer res.Close()
-			return drain(s, res.Next)
-		}()
-		tOut, tErr := func() (string, error) {
-			res, err := engine.New(s).EvalStream(expr)
-			if err != nil {
-				return "", err
-			}
-			defer res.Close()
-			return drain(s, res.Next)
-		}()
-		if (vErr == nil) != (tErr == nil) {
-			t.Fatalf("%q: vm err=%v, tree err=%v", query, vErr, tErr)
-		}
-		if vErr != nil && vErr.Error() != tErr.Error() {
-			t.Fatalf("%q: vm err %q, tree err %q", query, vErr, tErr)
-		}
-		if vOut != tOut {
-			t.Fatalf("%q: output mismatch\n--- vm ---\n%s\n--- tree ---\n%s", query, vOut, tOut)
-		}
+		want, wantErr := evalRef(t, query)
+		got, gotErr := evalVM(t, s, query, 1)
+		checkOracle(t, query, want, wantErr, got, gotErr)
 	})
 }

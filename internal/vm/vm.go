@@ -8,31 +8,23 @@
 // container matches, summary-pruned steps) are dedicated opcodes. The
 // VM's run loop IS the streaming cursor: Run.Next executes instructions
 // until one emits an item, then suspends at the program counter — no
-// per-item goroutine or coroutine handoff (the iter.Pull2 hop of the
-// tree walker's EvalStream).
+// per-item goroutine or coroutine handoff.
 //
 // Everything set-at-a-time — path navigation, container scans, join
-// indexes, per-tuple fallback evaluation — delegates to the same
-// internal/engine code the tree walker runs, which is what makes the
-// two evaluators byte-identical by construction. The tree walker stays
-// available as an oracle behind XQUEC_EVAL=tree.
+// indexes, per-tuple fallback evaluation — delegates to internal/engine.
+// The VM is the only query path; its differential tests compare it
+// against galaxlike, the DOM evaluator over the uncompressed document.
 package vm
 
 import (
 	"context"
 	"fmt"
-	"os"
 
 	"xquec/internal/algebra"
 	"xquec/internal/engine"
 	"xquec/internal/storage"
 	"xquec/internal/xquery"
 )
-
-// Enabled reports whether compiled-plan evaluation is selected (the
-// default). Setting XQUEC_EVAL=tree switches every evaluation back to
-// the tree-walking oracle; any other value keeps the VM.
-func Enabled() bool { return os.Getenv("XQUEC_EVAL") != "tree" }
 
 // Op is a VM opcode.
 type Op uint8
@@ -42,7 +34,7 @@ const (
 	OpHalt Op = iota
 	// OpReset installs a fresh variable environment (emitted at each
 	// top-level block boundary so sibling blocks cannot observe each
-	// other's bindings, matching tree-walker scoping).
+	// other's bindings).
 	OpReset
 	// OpScan A=cursor B=domain: evaluate a FOR domain (or top-level
 	// path) into cursor A. Invariant domains are computed once per run.
@@ -190,9 +182,13 @@ type RunOptions struct {
 	Ctx context.Context
 	// Parallelism is the intra-query worker budget (0 = GOMAXPROCS).
 	Parallelism int
-	// BindHook observes clause-0 binding nodes before their derived
-	// items emit (engine.WithBindHook contract; the shard workers' rank
-	// stamping plugs in here).
+	// BindHook, when set, observes the top-level binding node each item
+	// originates from: the clause-0 FOR binding of a top-level FLWOR, or
+	// the matched node of a top-level path. It fires on the evaluating
+	// goroutine strictly before the items derived from that binding are
+	// emitted, so a consumer reading the last hooked node after Next
+	// sees the current item's origin. The shard workers use it to stamp
+	// each item with its global document-order rank.
 	BindHook func(storage.NodeID)
 }
 
@@ -240,6 +236,7 @@ type Run struct {
 	prog *Program
 	eng  *engine.Engine
 	env  *engine.Env
+	hook func(storage.NodeID) // RunOptions.BindHook
 
 	pc      int32
 	cursors []cursor
@@ -253,8 +250,8 @@ type Run struct {
 }
 
 // Run starts one execution and returns it wrapped as a streaming
-// engine.Result: the VM loop is the cursor behind Result.Next. The
-// up-front deadline check matches EvalStream's contract.
+// engine.Result: the VM loop is the cursor behind Result.Next. An
+// already-expired context fails here, before any evaluation work.
 func (p *Program) Run(opts RunOptions) (*engine.Result, error) {
 	r, err := p.NewRun(opts)
 	if err != nil {
@@ -281,9 +278,6 @@ func (p *Program) NewRun(opts RunOptions) (*Run, error) {
 		eng.WithContext(opts.Ctx)
 	}
 	eng.WithParallelism(opts.Parallelism)
-	if opts.BindHook != nil {
-		eng.WithBindHook(opts.BindHook)
-	}
 	if err := eng.ContextErr(); err != nil {
 		return nil, err
 	}
@@ -291,6 +285,7 @@ func (p *Program) NewRun(opts RunOptions) (*Run, error) {
 		prog:    p,
 		eng:     eng,
 		env:     eng.NewEnv(),
+		hook:    opts.BindHook,
 		cursors: make([]cursor, p.ncur),
 	}, nil
 }
@@ -376,7 +371,7 @@ func (r *Run) next() (engine.Item, bool, error) {
 			c.seqMode = res.ids == nil
 			// Reset the deferred slots. In sequence mode (the domain is
 			// not a node set) every pushdown becomes a per-tuple filter,
-			// exactly like the tree walker's fallbackFilters.
+			// exactly like the engine's fallbackFilters.
 			if n := len(spec.preds); n > 0 {
 				if cap(c.deferred) < n {
 					c.deferred = make([]xquery.Expr, n)
@@ -505,9 +500,9 @@ func (r *Run) next() (engine.Item, bool, error) {
 			r.pc++
 
 		case OpHook:
-			if hook := eng.Hook(); hook != nil {
+			if r.hook != nil {
 				if c := &r.cursors[in.A]; c.curIsNode {
-					hook(c.curNode)
+					r.hook(c.curNode)
 				}
 			}
 			r.pc++
@@ -578,8 +573,8 @@ func (r *Run) next() (engine.Item, bool, error) {
 			}
 			id := c.ids[c.pos]
 			c.pos++
-			if hook := eng.Hook(); hook != nil {
-				hook(id)
+			if r.hook != nil {
+				r.hook(id)
 			}
 			if c.textTail {
 				if r.sc == nil {

@@ -1,9 +1,11 @@
 package vm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"xquec/internal/baselines/galaxlike"
 	"xquec/internal/datagen"
 	"xquec/internal/engine"
 	"xquec/internal/storage"
@@ -11,64 +13,42 @@ import (
 	"xquec/internal/xquery"
 )
 
-var testStore *storage.Store
+var (
+	testDoc   []byte
+	testStore *storage.Store
+	testRef   *galaxlike.Engine
+)
 
 func store(t testing.TB) *storage.Store {
 	t.Helper()
 	if testStore == nil {
-		doc := datagen.XMark(datagen.XMarkConfig{Scale: 0.04, Seed: 7})
-		s, err := storage.Load(doc, storage.LoadOptions{})
+		testDoc = datagen.XMark(datagen.XMarkConfig{Scale: 0.04, Seed: 7})
+		s, err := storage.Load(testDoc, storage.LoadOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		testStore = s
+		testRef = galaxlike.New(testDoc)
+		testRef.ParsePerQuery = false
 	}
 	return testStore
 }
 
-// drain pulls a stream to the end, serializing every item; it returns
-// the serialization and the error (if any) that ended the stream.
-func drain(s *storage.Store, next func() (engine.Item, bool, error)) (string, error) {
-	var sb strings.Builder
-	buf := make([]byte, 0, 256)
-	sc := storage.NewScratch()
-	defer sc.Release()
-	eng := engine.New(s)
-	res := eng.NewPullResult(func() (engine.Item, error, bool) { return nil, nil, false }, nil)
-	for {
-		it, ok, err := next()
-		if err != nil {
-			return sb.String(), err
-		}
-		if !ok {
-			return sb.String(), nil
-		}
-		b, err := res.AppendItemXML(buf[:0], it)
-		if err != nil {
-			return sb.String(), err
-		}
-		sb.Write(b)
-		sb.WriteByte('\n')
-	}
-}
-
-// evalTree runs the tree-walking oracle.
-func evalTree(t *testing.T, s *storage.Store, q string, par int) (string, error) {
+// evalRef runs the oracle: galaxlike, the DOM evaluator over the
+// uncompressed test document, which shares no substrate with the VM.
+func evalRef(t testing.TB, q string) (string, error) {
 	t.Helper()
-	expr, err := xquery.Parse(q)
-	if err != nil {
-		t.Fatalf("parse %q: %v", q, err)
-	}
-	res, err := engine.New(s).WithParallelism(par).EvalStream(expr)
+	store(t)
+	res, err := testRef.Query(q)
 	if err != nil {
 		return "", err
 	}
-	defer res.Close()
-	return drain(s, res.Next)
+	return res.SerializeXML()
 }
 
-// evalVM compiles and runs the program.
-func evalVM(t *testing.T, s *storage.Store, q string, par int) (string, error) {
+// evalVM compiles and runs the program, serializing the result the way
+// galaxlike does (one item per line).
+func evalVM(t testing.TB, s *storage.Store, q string, par int) (string, error) {
 	t.Helper()
 	expr, err := xquery.Parse(q)
 	if err != nil {
@@ -76,14 +56,33 @@ func evalVM(t *testing.T, s *storage.Store, q string, par int) (string, error) {
 	}
 	prog, err := Compile(expr, s, q)
 	if err != nil {
-		t.Fatalf("compile %q: %v", q, err)
+		return "", err
 	}
-	res, err := prog.Run(RunOptions{Parallelism: par})
+	return runXML(prog, RunOptions{Parallelism: par})
+}
+
+func runXML(prog *Program, opts RunOptions) (string, error) {
+	res, err := prog.Run(opts)
 	if err != nil {
 		return "", err
 	}
 	defer res.Close()
-	return drain(s, res.Next)
+	var sb strings.Builder
+	_, err = res.WriteXML(&sb)
+	return sb.String(), err
+}
+
+// checkOracle compares one VM evaluation against the galaxlike answer:
+// byte-identical output, or an error from both (error texts differ
+// between the two evaluators, so only the failure itself is compared).
+func checkOracle(t testing.TB, label, want string, wantErr error, got string, gotErr error) {
+	t.Helper()
+	if (wantErr == nil) != (gotErr == nil) {
+		t.Fatalf("%s: galaxlike err=%v, vm err=%v", label, wantErr, gotErr)
+	}
+	if got != want {
+		t.Fatalf("%s: output mismatch\n--- galaxlike ---\n%.400s\n--- vm ---\n%.400s", label, want, got)
+	}
 }
 
 // queryBattery is the unit-level differential corpus: XMark plus
@@ -114,81 +113,96 @@ func queryBattery() []xmarkq.Query {
 		{ID: "if-return", Text: `FOR $p IN /site/people/person RETURN if ($p/profile/@income >= 50000) then $p/name/text() else "modest"`},
 		{ID: "var-return", Text: `FOR $i IN /site/regions/africa/item/name RETURN $i`},
 		{ID: "agg-block", Text: `sum(/site/open_auctions/open_auction/initial)`},
+		{ID: "top-attr", Text: `/site/people/person/@id`},
+		{ID: "seq-mixed", Text: `(1, 2, /site/people/person/name/text(), "tail")`},
+		{ID: "ctor-top", Text: `<wrap>{/site/regions/africa/item/name}</wrap>`},
+		{ID: "let-ctor-attr", Text: `FOR $a IN /site/closed_auctions/closed_auction LET $b := $a/buyer/@person RETURN <sale who="x">{$a/price/text()}</sale>`},
 		{ID: "invariant-inner", Text: `FOR $p IN /site/people/person FOR $e IN /site/regions/europe/item WHERE $p/@id = "person1" RETURN $e/name/text()`},
 	}
 	return append(qs, extra...)
 }
 
-// TestDifferentialBattery: VM output must be byte-identical to the
-// tree walker — including errors — for every battery query at
-// parallelism 1 and 4.
+// TestDifferentialBattery: VM output must be byte-identical to
+// galaxlike — and fail exactly when galaxlike fails — for every
+// battery query at parallelism 1 and 4.
 func TestDifferentialBattery(t *testing.T) {
 	s := store(t)
 	for _, q := range queryBattery() {
+		want, wantErr := evalRef(t, q.Text)
 		for _, par := range []int{1, 4} {
-			tOut, tErr := evalTree(t, s, q.Text, par)
-			vOut, vErr := evalVM(t, s, q.Text, par)
-			if (tErr == nil) != (vErr == nil) {
-				t.Fatalf("%s par=%d: tree err=%v, vm err=%v", q.ID, par, tErr, vErr)
-			}
-			if tErr != nil && tErr.Error() != vErr.Error() {
-				t.Fatalf("%s par=%d: tree err %q, vm err %q", q.ID, par, tErr, vErr)
-			}
-			if tOut != vOut {
-				t.Fatalf("%s par=%d: output mismatch\n--- tree ---\n%s\n--- vm ---\n%s", q.ID, par, tOut, vOut)
-			}
+			got, gotErr := evalVM(t, s, q.Text, par)
+			checkOracle(t, fmt.Sprintf("%s par=%d", q.ID, par), want, wantErr, got, gotErr)
 		}
 	}
 }
 
-// TestBindHookParity: the clause-0 bind hook must observe the same
-// nodes in the same order under both engines.
+// TestBindHookParity: the bind hook observes the clause-0 FOR binding
+// nodes that survive clause-0 filtering (or, for a top-level path, the
+// owner of each emitted node), in document order, each before the
+// items derived from it. The expectation is the binding query's node
+// set, evaluated eagerly by engine.Eval.
 func TestBindHookParity(t *testing.T) {
 	s := store(t)
-	hooked := []string{
-		`FOR $p IN /site/people/person WHERE $p/profile/@income >= 30000 RETURN $p/name/text()`,
-		`/site/regions/africa/item/name/text()`,
-		`FOR $a IN /site/closed_auctions/closed_auction FOR $p IN /site/people/person WHERE $p/@id = $a/buyer/@person RETURN $p/name/text()`,
+	cases := []struct{ query, bindings string }{
+		{`FOR $p IN /site/people/person WHERE $p/profile/@income >= 30000 RETURN $p/name/text()`,
+			`FOR $p IN /site/people/person WHERE $p/profile/@income >= 30000 RETURN $p`},
+		{`/site/regions/africa/item/name/text()`, `/site/regions/africa/item/name`},
+		{`FOR $a IN /site/closed_auctions/closed_auction FOR $p IN /site/people/person WHERE $p/@id = $a/buyer/@person RETURN $p/name/text()`,
+			`/site/closed_auctions/closed_auction`},
 	}
-	for _, q := range hooked {
-		expr, err := xquery.Parse(q)
+	for _, c := range cases {
+		res, err := engine.New(s).Query(c.bindings)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var treeIDs []storage.NodeID
-		res, err := engine.New(s).WithBindHook(func(id storage.NodeID) {
-			treeIDs = append(treeIDs, id)
-		}).EvalStream(expr)
-		if err != nil {
-			t.Fatal(err)
+		var want []storage.NodeID
+		for {
+			it, ok, err := res.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			want = append(want, it.(storage.NodeID))
 		}
-		if _, err := drain(s, res.Next); err != nil {
-			t.Fatal(err)
+		if len(want) == 0 {
+			t.Fatalf("%s: empty binding set", c.bindings)
 		}
-		res.Close()
 
-		prog, err := Compile(expr, s, q)
+		expr, err := xquery.Parse(c.query)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var vmIDs []storage.NodeID
-		vres, err := prog.Run(RunOptions{BindHook: func(id storage.NodeID) {
-			vmIDs = append(vmIDs, id)
-		}})
+		prog, err := Compile(expr, s, c.query)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := drain(s, vres.Next); err != nil {
+		var got []storage.NodeID
+		vres, err := prog.Run(RunOptions{BindHook: func(id storage.NodeID) { got = append(got, id) }})
+		if err != nil {
 			t.Fatal(err)
+		}
+		for {
+			_, ok, err := vres.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			if len(got) == 0 {
+				t.Fatalf("%s: item emitted before any binding was hooked", c.query)
+			}
 		}
 		vres.Close()
 
-		if len(treeIDs) != len(vmIDs) {
-			t.Fatalf("%s: hook count tree=%d vm=%d", q, len(treeIDs), len(vmIDs))
+		if len(got) != len(want) {
+			t.Fatalf("%s: hooked %d bindings, want %d", c.query, len(got), len(want))
 		}
-		for i := range treeIDs {
-			if treeIDs[i] != vmIDs[i] {
-				t.Fatalf("%s: hook[%d] tree=%d vm=%d", q, i, treeIDs[i], vmIDs[i])
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: hook[%d] = %d, want %d", c.query, i, got[i], want[i])
 			}
 		}
 	}
@@ -211,7 +225,12 @@ func TestEarlyStop(t *testing.T) {
 	if _, ok, err := res.Next(); err != nil || !ok {
 		t.Fatalf("first item: ok=%v err=%v", ok, err)
 	}
-	res.Close()
+	if err := res.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := res.Next(); ok || err != nil {
+		t.Fatalf("Next after Close: ok=%v err=%v", ok, err)
+	}
 
 	full, err := evalVM(t, s, q, 1)
 	if err != nil {
@@ -219,6 +238,73 @@ func TestEarlyStop(t *testing.T) {
 	}
 	if full == "" {
 		t.Fatal("no output after restart")
+	}
+}
+
+// compileQuery parses and compiles q against s.
+func compileQuery(t *testing.T, s *storage.Store, q string) *Program {
+	t.Helper()
+	expr, err := xquery.Parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := Compile(expr, s, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
+// TestRunNextAndLen: Len before any Next materializes the rest of the
+// run without losing items, and Next then hands out all of them.
+func TestRunNextAndLen(t *testing.T) {
+	s := store(t)
+	const q = `/site/regions/africa/item/name/text()`
+	want, err := evalRef(t, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := strings.Count(want, "\n") + 1
+	res, err := compileQuery(t, s, q).Run(RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Close()
+	if res.Len() != n {
+		t.Fatalf("Len = %d, want %d", res.Len(), n)
+	}
+	var names []string
+	for {
+		it, ok, err := res.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		names = append(names, it.(string))
+	}
+	if got := strings.Join(names, "\n"); got != want {
+		t.Fatalf("items = %q, want %q", got, want)
+	}
+	if res.Len() != n {
+		t.Fatalf("Len after drain = %d", res.Len())
+	}
+}
+
+// TestRunEvalError: an evaluation error ends the run on the pull that
+// hits it and is sticky on every later pull.
+func TestRunEvalError(t *testing.T) {
+	res, err := compileQuery(t, store(t), `$undefined`).Run(RunOptions{})
+	if err != nil {
+		t.Fatal(err) // construction succeeds; the error surfaces on pull
+	}
+	defer res.Close()
+	if _, ok, err := res.Next(); ok || err == nil {
+		t.Fatalf("Next = ok=%v err=%v, want error", ok, err)
+	}
+	if _, _, err := res.Next(); err == nil {
+		t.Fatal("error not sticky")
 	}
 }
 
@@ -242,9 +328,22 @@ func TestDisassemble(t *testing.T) {
 	}
 }
 
-// TestConstantFolding: folded programs still match the oracle, and
+// TestConstantFolding: folded programs still match galaxlike, and
 // folding actually rewrites the arithmetic.
 func TestConstantFolding(t *testing.T) {
+	s := store(t)
+	for _, q := range []string{
+		`1 + 2 * 3`,
+		`10 div 4 - 0.5`,
+		`FOR $i IN /site/open_auctions/open_auction WHERE $i/initial > 2 * 10 RETURN $i/initial/text()`,
+		`FOR $i IN /site/open_auctions/open_auction WHERE $i/initial > 100 div 5 RETURN $i/initial/text()`,
+		`5 mod 0`,
+	} {
+		want, wantErr := evalRef(t, q)
+		got, gotErr := evalVM(t, s, q, 1)
+		checkOracle(t, q, want, wantErr, got, gotErr)
+	}
+
 	expr, err := xquery.Parse(`1 + 2 * 3`)
 	if err != nil {
 		t.Fatal(err)

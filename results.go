@@ -2,7 +2,6 @@ package xquec
 
 import (
 	"io"
-	"strings"
 
 	"xquec/internal/engine"
 	"xquec/internal/shard"
@@ -10,7 +9,7 @@ import (
 
 // Results is a query result sequence, consumed as a pull-based cursor:
 //
-//	res, err := db.Query(q)
+//	res, err := db.Execute(ctx, q, xquec.QueryOptions{})
 //	defer res.Close()
 //	for {
 //		item, ok, err := res.Next()
@@ -23,7 +22,7 @@ import (
 // Values stay compressed until an item is serialized (Item.XML /
 // WriteXML), and for streamable queries the evaluation itself advances
 // one item per Next — stopping early (or cancelling the context passed
-// to QueryContext/RunContext) stops evaluation-side decompression too.
+// to Execute) stops evaluation-side decompression too.
 // A Results must be fully consumed or Closed to release its pooled
 // buffers; Close is idempotent and always safe to defer.
 //
@@ -131,18 +130,3 @@ func (r *Results) Len() int {
 // on a sharded or segmented database). It is definitive once the
 // cursor is exhausted; false for every query that did not scatter.
 func (r *Results) Partial() bool { return r.cur != nil && r.cur.Partial() }
-
-// SerializeXML renders the remaining items as XML/text, one item per
-// line.
-//
-// Deprecated: SerializeXML materializes the entire rendering as one
-// string, forfeiting the O(1-item) memory profile of the cursor. It is
-// kept as a convenience wrapper over WriteXML for small results; new
-// code should use WriteXML or Next/Item.XML.
-func (r *Results) SerializeXML() (string, error) {
-	var sb strings.Builder
-	if _, err := r.WriteXML(&sb); err != nil {
-		return "", err
-	}
-	return sb.String(), nil
-}

@@ -18,7 +18,7 @@ func buildMatrixDB(t *testing.T, docs [][]byte, shards int) *xquec.Database {
 	var base *xquec.Database
 	var err error
 	if shards > 1 {
-		base, err = xquec.CompressSharded(docs[0], shards, xquec.Options{})
+		base, err = xquec.Compress(docs[0], xquec.Options{Shards: shards})
 	} else {
 		base, err = xquec.Compress(docs[0], xquec.Options{})
 	}
@@ -67,12 +67,12 @@ func TestSuccinctDifferentialMatrix(t *testing.T) {
 				for _, par := range []int{1, 4} {
 					for _, q := range queries {
 						k := fmt.Sprintf("sh=%d/seg=%d/p=%d/%s", shards, segs, par, q.ID)
-						res, err := db.QueryWith(context.Background(), q.Text,
+						res, err := db.Execute(context.Background(), q.Text,
 							xquec.QueryOptions{Parallelism: par})
 						if err != nil {
 							t.Fatalf("%s: %v", k, err)
 						}
-						got, err := res.SerializeXML()
+						got, err := drainXML(res)
 						res.Close()
 						if err != nil {
 							t.Fatalf("%s: %v", k, err)

@@ -149,20 +149,6 @@ func Compress(doc []byte, opts Options) (*Database, error) {
 	return fromStore(s), nil
 }
 
-// CompressSharded is Compress targeting the scatter-gather serving
-// tier (see Options.Shards).
-//
-// Deprecated: use Compress with Options.Shards. CompressSharded keeps
-// its historical behavior — a shards value of 1 still builds an
-// explicit one-shard set, where Compress{Shards: 1} builds a plain
-// single repository.
-func CompressSharded(doc []byte, shards int, opts Options) (*Database, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("xquec: shard count %d < 1", shards)
-	}
-	return buildShardSet(doc, shards, opts)
-}
-
 func buildShardSet(doc []byte, shards int, opts Options) (*Database, error) {
 	plan, err := resolvePlan(doc, opts)
 	if err != nil {
@@ -484,27 +470,12 @@ type QueryOptions struct {
 	ShardFanout int
 }
 
-// EvalEngine reports which evaluator queries run on: "vm" (the
-// default — plans compile to bytecode, see internal/vm) or "tree" (the
-// tree-walking oracle, selected with XQUEC_EVAL=tree). The setting is
-// read per evaluation, so tests can switch engines between calls.
-func EvalEngine() string {
-	if vm.Enabled() {
-		return "vm"
-	}
-	return "tree"
-}
-
-// run is the single evaluation entry point behind Execute and every
-// legacy Query/Run wrapper: pick the evaluator, build the streaming
-// cursor, and prime its first item so errors that occur before any
+// run is the single evaluation entry point behind Database.Execute and
+// Prepared.Execute: build the streaming cursor — the compiled program's
+// VM loop — and prime its first item so errors that occur before any
 // output — an expired deadline, an unbound variable, a failing
 // aggregate — surface here rather than on the first Next. Each call
 // gets its own evaluation state.
-//
-// By default the compiled program's VM loop feeds the cursor directly;
-// XQUEC_EVAL=tree (or a query shape the compiler refused) falls back
-// to a fresh tree-walking engine over the same store.
 //
 // On a sharded or segmented database the scatter analyzer decides the
 // path: provably decomposable queries fan out across the members (each
@@ -543,19 +514,11 @@ func (p *Prepared) run(ctx context.Context, opts QueryOptions) (*Results, error)
 			}
 		}
 	}
-	if vm.Enabled() {
-		if prog := p.program(st); prog != nil {
-			res, err := prog.Run(vm.RunOptions{Ctx: ctx, Parallelism: opts.Parallelism})
-			if err != nil {
-				return nil, tagErr(ErrEval, err)
-			}
-			if err := res.Prime(); err != nil {
-				return nil, tagErr(ErrEval, err)
-			}
-			return &Results{res: res}, nil
-		}
+	prog, err := p.program(st)
+	if err != nil {
+		return nil, tagErr(ErrEval, err)
 	}
-	res, err := engine.New(st).WithContext(ctx).WithParallelism(opts.Parallelism).EvalStream(p.expr)
+	res, err := prog.Run(vm.RunOptions{Ctx: ctx, Parallelism: opts.Parallelism})
 	if err != nil {
 		return nil, tagErr(ErrEval, err)
 	}
@@ -566,8 +529,7 @@ func (p *Prepared) run(ctx context.Context, opts QueryOptions) (*Results, error)
 }
 
 // Execute parses and evaluates an XQuery expression under ctx with
-// per-call options — the single query entry point (the legacy Query,
-// QueryContext and QueryWith are thin wrappers over it). Safe for
+// per-call options — the single query entry point. Safe for
 // concurrent use: the per-query state (join-index caches, cursor
 // position) is private to the call. The returned Results is a pull
 // cursor; consume it with Next/WriteXML and Close it.
@@ -585,58 +547,39 @@ func (db *Database) Execute(ctx context.Context, q string, opts QueryOptions) (*
 	return prep.run(ctx, opts)
 }
 
-// Query evaluates q with background context and default options.
-//
-// Deprecated: use Execute.
-func (db *Database) Query(q string) (*Results, error) {
-	return db.Execute(context.Background(), q, QueryOptions{})
-}
-
-// QueryContext evaluates q under ctx with default options.
-//
-// Deprecated: use Execute.
-func (db *Database) QueryContext(ctx context.Context, q string) (*Results, error) {
-	return db.Execute(ctx, q, QueryOptions{})
-}
-
-// QueryWith evaluates q under ctx with opts.
-//
-// Deprecated: use Execute.
-func (db *Database) QueryWith(ctx context.Context, q string, opts QueryOptions) (*Results, error) {
-	return db.Execute(ctx, q, opts)
-}
-
-// Prepare parses — and, on the VM engine, compiles — a query once for
-// repeated execution, skipping the parser and compiler on every
-// subsequent run: the unit a serving plan cache stores. Compilation is
-// eager here so the cache can account the compiled program's bytes at
-// admission time. The prepared query is bound to this Database and is
-// safe for concurrent Run calls: the parsed form and the compiled
-// program are never mutated and every execution gets fresh run state.
+// Prepare parses and compiles a query once for repeated execution,
+// skipping the parser and compiler on every subsequent run: the unit a
+// serving plan cache stores. Compilation is eager here so the cache can
+// account the compiled program's bytes at admission time; a compiler
+// failure is an ErrEval. The prepared query is bound to this Database
+// and is safe for concurrent Execute calls: the parsed form and the
+// compiled programs are never mutated and every execution gets fresh
+// run state.
 func (db *Database) Prepare(q string) (*Prepared, error) {
 	expr, err := xquery.Parse(q)
 	if err != nil {
 		return nil, tagErr(ErrParse, err)
 	}
 	p := &Prepared{db: db, expr: expr, text: q}
-	if vm.Enabled() {
-		// Partitioned databases compile against member 0: the members
-		// share one summary shape, so its program is every worker's
-		// program for size/len reporting (workers get their own).
-		p.program(p.planStore())
+	// Partitioned databases compile against member 0: the members share
+	// one summary shape, so its program is every worker's program for
+	// size/len reporting (workers get their own).
+	if p.plan, err = p.program(p.planStore()); err != nil {
+		return nil, tagErr(ErrEval, err)
 	}
 	return p, nil
 }
 
-// Prepared is a parsed query bound to a Database, plus its lazily
-// compiled per-store bytecode programs.
+// Prepared is a parsed query bound to a Database, plus its compiled
+// per-store bytecode programs.
 type Prepared struct {
 	db   *Database
 	expr xquery.Expr
 	text string
+	plan *vm.Program // compiled against planStore by Prepare
 
 	mu    sync.Mutex
-	progs map[*storage.Store]*vm.Program // nil entry: compile declined, use tree
+	progs map[*storage.Store]*vm.Program
 }
 
 // planStore is the store whose compiled program represents this query
@@ -645,94 +588,41 @@ type Prepared struct {
 func (p *Prepared) planStore() *storage.Store { return p.db.memberStores()[0] }
 
 // program returns the compiled program for st, compiling on first use.
-// A failed compilation is cached as nil, pinning the query to the
-// tree-walking fallback.
-func (p *Prepared) program(st *storage.Store) *vm.Program {
+func (p *Prepared) program(st *storage.Store) (*vm.Program, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if prog, ok := p.progs[st]; ok {
-		return prog
+		return prog, nil
 	}
 	prog, err := vm.Compile(p.expr, st, p.text)
 	if err != nil {
-		prog = nil
+		return nil, err
 	}
 	if p.progs == nil {
 		p.progs = map[*storage.Store]*vm.Program{}
 	}
 	p.progs[st] = prog
-	return prog
+	return prog, nil
 }
 
 // Text returns the original query text.
 func (p *Prepared) Text() string { return p.text }
 
-// EngineLabel reports how run will evaluate this statement: "vm" when
-// a compiled program exists and the VM is enabled, else "tree".
-func (p *Prepared) EngineLabel() string {
-	if vm.Enabled() && p.program(p.planStore()) != nil {
-		return "vm"
-	}
-	return "tree"
-}
-
-// ProgramLen returns the compiled program's instruction count (0 when
-// the query runs on the tree walker).
-func (p *Prepared) ProgramLen() int {
-	if prog := p.program(p.planStore()); prog != nil {
-		return prog.Len()
-	}
-	return 0
-}
+// ProgramLen returns the compiled program's instruction count.
+func (p *Prepared) ProgramLen() int { return p.plan.Len() }
 
 // CostBytes estimates the prepared statement's resident size for
-// byte-based plan-cache accounting: the compiled program's bytes, or a
-// query-text-proportional floor for tree-only statements.
-func (p *Prepared) CostBytes() int {
-	if prog := p.program(p.planStore()); prog != nil {
-		return prog.SizeBytes()
-	}
-	return 256 + 2*len(p.text)
-}
+// byte-based plan-cache accounting: the compiled program's bytes.
+func (p *Prepared) CostBytes() int { return p.plan.SizeBytes() }
 
-// Disassemble returns the compiled program's instruction listing
-// (empty when the query runs on the tree walker).
-func (p *Prepared) Disassemble() string {
-	if prog := p.program(p.planStore()); prog != nil {
-		return prog.Disassemble()
-	}
-	return ""
-}
+// Disassemble returns the compiled program's instruction listing.
+func (p *Prepared) Disassemble() string { return p.plan.Disassemble() }
 
 // Execute evaluates the prepared query under ctx with per-call options
-// — the single prepared-statement entry point (the legacy Run,
-// RunContext and RunWith are thin wrappers over it). See
-// Database.Execute for the ctx and options semantics.
+// — the single prepared-statement entry point. See Database.Execute
+// for the ctx and options semantics.
 func (p *Prepared) Execute(ctx context.Context, opts QueryOptions) (*Results, error) {
 	return p.run(ctx, opts)
-}
-
-// Run evaluates the prepared query with background context and default
-// options.
-//
-// Deprecated: use Execute.
-func (p *Prepared) Run() (*Results, error) {
-	return p.Execute(context.Background(), QueryOptions{})
-}
-
-// RunContext evaluates the prepared query under ctx with default
-// options.
-//
-// Deprecated: use Execute.
-func (p *Prepared) RunContext(ctx context.Context) (*Results, error) {
-	return p.Execute(ctx, QueryOptions{})
-}
-
-// RunWith evaluates the prepared query under ctx with per-call options.
-//
-// Deprecated: use Execute.
-func (p *Prepared) RunWith(ctx context.Context, opts QueryOptions) (*Results, error) {
-	return p.Execute(ctx, opts)
 }
 
 // Explain renders the evaluation strategy for a query without running
@@ -769,18 +659,13 @@ func (db *Database) Explain(q string) (string, error) {
 // for a query — opcodes, operands, and the containers and summary
 // paths resolved at compile time — the companion to Explain's
 // tree-level plan. On a sharded or segmented database the program
-// shown is member 0's (members share one summary shape). An empty
-// string means the query runs on the tree walker.
+// shown is member 0's (members share one summary shape).
 func (db *Database) ExplainProgram(q string) (string, error) {
-	expr, err := xquery.Parse(q)
+	prep, err := db.Prepare(q)
 	if err != nil {
-		return "", tagErr(ErrParse, err)
+		return "", err
 	}
-	prog, err := vm.Compile(expr, db.memberStores()[0], q)
-	if err != nil {
-		return "", nil
-	}
-	return prog.Disassemble(), nil
+	return prep.Disassemble(), nil
 }
 
 // MustQuery is Execute for examples and tests; it panics on error.

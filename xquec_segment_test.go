@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"xquec"
+	"xquec/internal/baselines/galaxlike"
 	"xquec/internal/datagen"
 	"xquec/internal/segment"
 	"xquec/internal/shard"
@@ -90,22 +91,54 @@ func TestAppendResultsIdentical(t *testing.T) {
 	}
 }
 
-// TestAppendVMTreeOracle runs the appended corpus under both engines:
-// the bytecode VM and the tree-walking oracle must agree byte for byte
-// on every benchmark query over a multi-segment database.
+// TestAppendVMTreeOracle grows a database through the Writer one
+// document per Commit and, after every Commit, checks each benchmark
+// query against galaxlike — the DOM-tree evaluator over the
+// uncompressed concatenation of the documents appended so far. It pins
+// every intermediate snapshot the Writer hands out, where
+// TestVMDifferentialMatrix checks only the final three-segment set.
 func TestAppendVMTreeOracle(t *testing.T) {
 	docs := segDocs(t, 3, 0.02)
-	db := segmentedDB(t, docs)
 	queries := append(xmarkq.Queries(), xmarkq.ExtendedQueries()...)
-	vmOut := map[string]string{}
-	t.Setenv("XQUEC_EVAL", "")
-	for _, q := range queries {
-		vmOut[q.ID] = execXML(t, db, q.Text, xquec.QueryOptions{})
+	base, err := xquec.Compress(docs[0], xquec.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Setenv("XQUEC_EVAL", "tree")
-	for _, q := range queries {
-		if got := execXML(t, db, q.Text, xquec.QueryOptions{}); got != vmOut[q.ID] {
-			t.Errorf("%s: tree engine differs from vm\ntree: %.200q\n  vm: %.200q", q.ID, got, vmOut[q.ID])
+	w, err := xquec.NewWriter(base, xquec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := w.DB()
+	for segs := 1; segs <= len(docs); segs++ {
+		if segs > 1 {
+			if err := w.Append(docs[segs-1]); err != nil {
+				t.Fatal(err)
+			}
+			if db, err = w.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if db.Segments() != segs {
+			t.Fatalf("Segments() = %d, want %d", db.Segments(), segs)
+		}
+		concat, err := segment.Concat(docs[:segs]...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := galaxlike.New(concat)
+		ref.ParsePerQuery = false
+		for _, q := range queries {
+			want, wantErr := galaxlikeXML(ref, q.Text)
+			got, err := evalWith(db, q.Text, 1)
+			if (wantErr == nil) != (err == nil) {
+				t.Fatalf("segs=%d %s: galaxlike err=%v, vm err=%v", segs, q.ID, wantErr, err)
+			}
+			if err != nil && !errors.Is(err, xquec.ErrEval) {
+				t.Fatalf("segs=%d %s: vm error not ErrEval: %v", segs, q.ID, err)
+			}
+			if got != want {
+				t.Errorf("segs=%d %s: vm differs from galaxlike\n    vm: %.200q\ngalaxlike: %.200q", segs, q.ID, got, want)
+			}
 		}
 	}
 }

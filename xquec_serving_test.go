@@ -37,7 +37,7 @@ func TestQueryContextTimeout(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	started := time.Now()
-	_, err := db.QueryContext(ctx, slowQuery)
+	_, err := db.Execute(ctx, slowQuery, QueryOptions{})
 	elapsed := time.Since(started)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
@@ -54,7 +54,7 @@ func TestQueryContextCancel(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
-	if _, err := db.QueryContext(ctx, slowQuery); !errors.Is(err, context.Canceled) {
+	if _, err := db.Execute(ctx, slowQuery, QueryOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want Canceled", err)
 	}
 }
@@ -67,15 +67,15 @@ func TestQueryContextExpiredBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	time.Sleep(time.Millisecond)
-	if _, err := db.QueryContext(ctx, `count(/site//person)`); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := db.Execute(ctx, `count(/site//person)`, QueryOptions{}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
-	// A background context behaves exactly like plain Query.
-	res, err := db.QueryContext(context.Background(), `count(/site//person)`)
+	// A background context evaluates normally.
+	res, err := db.Execute(context.Background(), `count(/site//person)`, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out, _ := res.SerializeXML(); out != "2" {
+	if out, _ := drainXML(res); out != "2" {
 		t.Fatalf("result = %q", out)
 	}
 }
@@ -93,13 +93,13 @@ func TestPreparedMatchesQuery(t *testing.T) {
 	if prep.Text() != q {
 		t.Fatalf("Text = %q", prep.Text())
 	}
-	want, _ := db.MustQuery(q).SerializeXML()
+	want, _ := drainXML(db.MustQuery(q))
 	for i := 0; i < 3; i++ {
-		res, err := prep.Run()
+		res, err := prep.Execute(context.Background(), QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, _ := res.SerializeXML(); got != want {
+		if got, _ := drainXML(res); got != want {
 			t.Fatalf("run %d: %q != %q", i, got, want)
 		}
 	}
@@ -133,11 +133,11 @@ func TestPreparedConcurrentRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		preps[i] = p
-		res, err := p.Run()
+		res, err := p.Execute(context.Background(), QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i], _ = res.SerializeXML()
+		want[i], _ = drainXML(res)
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 128)
@@ -147,12 +147,12 @@ func TestPreparedConcurrentRuns(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
 				k := (w + i) % len(preps)
-				res, err := preps[k].RunContext(context.Background())
+				res, err := preps[k].Execute(context.Background(), QueryOptions{})
 				if err != nil {
 					errs <- err
 					return
 				}
-				if got, _ := res.SerializeXML(); got != want[k] {
+				if got, _ := drainXML(res); got != want[k] {
 					errs <- fmt.Errorf("query %d: %q != %q", k, got, want[k])
 					return
 				}

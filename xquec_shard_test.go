@@ -10,6 +10,8 @@ import (
 
 	"xquec"
 	"xquec/internal/datagen"
+	"xquec/internal/shard"
+	"xquec/internal/storage"
 	"xquec/internal/xmarkq"
 )
 
@@ -27,27 +29,24 @@ func TestShardedResultsIdentical(t *testing.T) {
 	queries := append(xmarkq.Queries(), xmarkq.ExtendedQueries()...)
 	want := map[string]string{}
 	for _, q := range queries {
-		res, err := single.Query(q.Text)
+		res, err := single.Execute(context.Background(), q.Text, xquec.QueryOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", q.ID, err)
 		}
-		want[q.ID], err = res.SerializeXML()
+		want[q.ID], err = drainXML(res)
 		res.Close()
 		if err != nil {
 			t.Fatalf("%s: %v", q.ID, err)
 		}
 	}
 	for _, shards := range []int{1, 2, 4, 8} {
-		db, err := xquec.CompressSharded(doc, shards, xquec.Options{})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
+		db := compressShards(t, doc, shards)
 		for _, q := range queries {
-			res, err := db.Query(q.Text)
+			res, err := db.Execute(context.Background(), q.Text, xquec.QueryOptions{})
 			if err != nil {
 				t.Fatalf("shards=%d %s: %v", shards, q.ID, err)
 			}
-			got, err := res.SerializeXML()
+			got, err := drainXML(res)
 			res.Close()
 			if err != nil {
 				t.Fatalf("shards=%d %s: %v", shards, q.ID, err)
@@ -67,7 +66,7 @@ func TestShardedResultsIdentical(t *testing.T) {
 // WriteXML) against a scattered query, including early Close.
 func TestShardedItemCursor(t *testing.T) {
 	doc := datagen.XMark(datagen.XMarkConfig{Scale: 0.05, Seed: 42})
-	db, err := xquec.CompressSharded(doc, 4, xquec.Options{})
+	db, err := xquec.Compress(doc, xquec.Options{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,12 +75,12 @@ func TestShardedItemCursor(t *testing.T) {
 		t.Fatal(err)
 	}
 	const q = `FOR $p IN document("auction.xml")/site/people/person RETURN $p/name/text()`
-	wantRes, err := single.Query(q)
+	wantRes, err := single.Execute(context.Background(), q, xquec.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer wantRes.Close()
-	res, err := db.Query(q)
+	res, err := db.Execute(context.Background(), q, xquec.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +110,7 @@ func TestShardedItemCursor(t *testing.T) {
 	}
 
 	// Early close mid-stream must not deadlock or error later cursors.
-	res2, err := db.Query(q)
+	res2, err := db.Execute(context.Background(), q, xquec.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,12 +126,12 @@ func TestShardedItemCursor(t *testing.T) {
 // through the sniffing Open, asserting results survive the round trip.
 func TestShardedSaveOpenRoundTrip(t *testing.T) {
 	doc := datagen.XMark(datagen.XMarkConfig{Scale: 0.02, Seed: 43})
-	db, err := xquec.CompressSharded(doc, 3, xquec.Options{})
+	db, err := xquec.Compress(doc, xquec.Options{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const q = `FOR $i IN document("auction.xml")/site/regions/australia/item RETURN $i/name/text()`
-	want := mustXML(t, db, q)
+	want := execXML(t, db, q, xquec.QueryOptions{})
 
 	dir := t.TempDir()
 	path := filepath.Join(dir, "auction.xqcs")
@@ -146,7 +145,7 @@ func TestShardedSaveOpenRoundTrip(t *testing.T) {
 	if !re.Sharded() || re.Shards() != 3 {
 		t.Fatalf("reopened: sharded=%v shards=%d", re.Sharded(), re.Shards())
 	}
-	if got := mustXML(t, re, q); got != want {
+	if got := execXML(t, re, q, xquec.QueryOptions{}); got != want {
 		t.Fatalf("round trip changed results:\n got %.200q\nwant %.200q", got, want)
 	}
 	if re.TopologyKey() == db.TopologyKey() {
@@ -167,7 +166,7 @@ func TestShardedDecompress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := xquec.CompressSharded(doc, 4, xquec.Options{})
+	db, err := xquec.Compress(doc, xquec.Options{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,18 +200,18 @@ func TestShardedDecompress(t *testing.T) {
 // the context's error even under the partial-results policy.
 func TestShardedDeadline(t *testing.T) {
 	doc := datagen.XMark(datagen.XMarkConfig{Scale: 0.02, Seed: 45})
-	db, err := xquec.CompressSharded(doc, 4, xquec.Options{})
+	db, err := xquec.Compress(doc, xquec.Options{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	const q = `FOR $p IN document("auction.xml")/site/people/person RETURN $p/name/text()`
-	res, err := db.QueryWith(ctx, q, xquec.QueryOptions{PartialResults: true})
+	res, err := db.Execute(ctx, q, xquec.QueryOptions{PartialResults: true})
 	if err == nil {
 		// The deadline may surface on the first Next instead of at
 		// prime time depending on scheduling; drain to find it.
-		_, err = res.SerializeXML()
+		_, err = drainXML(res)
 		res.Close()
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
@@ -220,16 +219,39 @@ func TestShardedDeadline(t *testing.T) {
 	}
 }
 
-func mustXML(t *testing.T, db *xquec.Database, q string) string {
+// compressShards builds an n-shard set over doc. Options{Shards: 1}
+// builds a plain single repository, so the one-shard set is built by
+// the shard layer, saved, and reopened through Open.
+func compressShards(t *testing.T, doc []byte, n int) *xquec.Database {
 	t.Helper()
-	res, err := db.Query(q)
+	if n > 1 {
+		db, err := xquec.Compress(doc, xquec.Options{Shards: n})
+		if err != nil {
+			t.Fatalf("shards=%d: %v", n, err)
+		}
+		return db
+	}
+	set, err := shard.Build(doc, 1, storage.LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer res.Close()
-	out, err := res.SerializeXML()
+	path := filepath.Join(t.TempDir(), "one.xqcs")
+	if err := set.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	db, err := xquec.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out
+	if !db.Sharded() || db.Shards() != 1 {
+		t.Fatalf("one-shard set opened as sharded=%v shards=%d", db.Sharded(), db.Shards())
+	}
+	return db
+}
+
+// drainXML renders the rest of a result, one item per line.
+func drainXML(r *xquec.Results) (string, error) {
+	var sb strings.Builder
+	_, err := r.WriteXML(&sb)
+	return sb.String(), err
 }

@@ -35,7 +35,7 @@ const streamQuery = `FOR $i IN /d/i RETURN $i/v/text()`
 
 func TestResultsNextIteration(t *testing.T) {
 	db := streamDB(t, 5)
-	res, err := db.Query(streamQuery)
+	res, err := db.Execute(context.Background(), streamQuery, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,13 +67,30 @@ func TestResultsNextIteration(t *testing.T) {
 	}
 }
 
+// TestWriteXMLMatchesSerializeXML: WriteXML renders the one-item-per-
+// line form the removed Results.SerializeXML returned — exactly the
+// items Next hands out, joined by newlines — reports the bytes it
+// wrote, and drains the cursor (a second WriteXML writes nothing).
 func TestWriteXMLMatchesSerializeXML(t *testing.T) {
 	db := streamDB(t, 7)
-	want, err := db.MustQuery(streamQuery).SerializeXML()
-	if err != nil {
-		t.Fatal(err)
+	items := db.MustQuery(streamQuery)
+	var lines []string
+	for {
+		item, ok, err := items.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		xml, err := item.XML()
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines = append(lines, xml)
 	}
-	res, err := db.Query(streamQuery)
+	want := strings.Join(lines, "\n")
+	res, err := db.Execute(context.Background(), streamQuery, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,6 +110,9 @@ func TestWriteXMLMatchesSerializeXML(t *testing.T) {
 	if res.Len() != 7 {
 		t.Fatalf("Len after drain = %d", res.Len())
 	}
+	if n, err := res.WriteXML(io.Discard); n != 0 || err != nil {
+		t.Fatalf("second WriteXML = %d, %v", n, err)
+	}
 }
 
 // TestStreamCancellationMidIteration cancels the context between two
@@ -102,7 +122,7 @@ func TestStreamCancellationMidIteration(t *testing.T) {
 	db := streamDB(t, 50)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	res, err := db.QueryContext(ctx, streamQuery)
+	res, err := db.Execute(ctx, streamQuery, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +159,7 @@ func TestEarlyStopSkipsDecoding(t *testing.T) {
 	db := streamDB(t, n)
 
 	base := storage.DecodeOps()
-	res, err := db.Query(streamQuery)
+	res, err := db.Execute(context.Background(), streamQuery, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +184,7 @@ func TestEarlyStopSkipsDecoding(t *testing.T) {
 
 	// Control: a full drain does pay for every item.
 	base = storage.DecodeOps()
-	res2, err := db.Query(streamQuery)
+	res2, err := db.Execute(context.Background(), streamQuery, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +202,7 @@ func TestEarlyStopSkipsDecoding(t *testing.T) {
 // fully private to each cursor.
 func TestConcurrentStreamIterators(t *testing.T) {
 	db := streamDB(t, 40)
-	want, err := db.MustQuery(streamQuery).SerializeXML()
+	want, err := drainXML(db.MustQuery(streamQuery))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +213,7 @@ func TestConcurrentStreamIterators(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				res, err := db.Query(streamQuery)
+				res, err := db.Execute(context.Background(), streamQuery, QueryOptions{})
 				if err != nil {
 					errs <- err
 					return
@@ -237,7 +257,7 @@ func TestErrorSentinels(t *testing.T) {
 	db := streamDB(t, 3)
 
 	t.Run("parse", func(t *testing.T) {
-		if _, err := db.Query(`FOR $x IN`); !errors.Is(err, ErrParse) {
+		if _, err := db.Execute(context.Background(), `FOR $x IN`, QueryOptions{}); !errors.Is(err, ErrParse) {
 			t.Fatalf("Query parse err = %v", err)
 		}
 		if _, err := db.Prepare(`((`); !errors.Is(err, ErrParse) {
@@ -253,7 +273,7 @@ func TestErrorSentinels(t *testing.T) {
 
 	t.Run("eval", func(t *testing.T) {
 		for _, q := range []string{`$undefined`, `unknownfn(1)`} {
-			_, err := db.Query(q)
+			_, err := db.Execute(context.Background(), q, QueryOptions{})
 			if !errors.Is(err, ErrEval) {
 				t.Fatalf("Query(%s) err = %v, want ErrEval", q, err)
 			}
@@ -295,7 +315,7 @@ func TestErrorSentinels(t *testing.T) {
 	t.Run("cancellation is untagged", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		_, err := db.QueryContext(ctx, streamQuery)
+		_, err := db.Execute(ctx, streamQuery, QueryOptions{})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v", err)
 		}
@@ -308,7 +328,7 @@ func TestErrorSentinels(t *testing.T) {
 // TestItemAppendXML exercises the allocation-free per-item form.
 func TestItemAppendXML(t *testing.T) {
 	db := streamDB(t, 3)
-	res, err := db.Query(streamQuery)
+	res, err := db.Execute(context.Background(), streamQuery, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

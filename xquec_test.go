@@ -1,6 +1,7 @@
 package xquec
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -21,16 +22,23 @@ const apiDoc = `<site>
   </closed_auctions>
 </site>`
 
+// drainXML renders the rest of a result, one item per line.
+func drainXML(r *Results) (string, error) {
+	var sb strings.Builder
+	_, err := r.WriteXML(&sb)
+	return sb.String(), err
+}
+
 func TestCompressAndQuery(t *testing.T) {
 	db, err := Compress([]byte(apiDoc), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Query(`FOR $p IN document("d")/site/people/person WHERE $p/age >= 28 RETURN $p/name/text()`)
+	res, err := db.Execute(context.Background(), `FOR $p IN document("d")/site/people/person WHERE $p/age >= 28 RETURN $p/name/text()`, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := res.SerializeXML()
+	out, err := drainXML(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,8 +63,8 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := db.MustQuery(`count(/site//person)`).SerializeXML()
-	b, _ := db2.MustQuery(`count(/site//person)`).SerializeXML()
+	a, _ := drainXML(db.MustQuery(`count(/site//person)`))
+	b, _ := drainXML(db2.MustQuery(`count(/site//person)`))
 	if a != b || a != "2" {
 		t.Fatalf("round trip results %q vs %q", a, b)
 	}
@@ -64,7 +72,7 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c, _ := db3.MustQuery(`count(/site//person)`).SerializeXML(); c != "2" {
+	if c, _ := drainXML(db3.MustQuery(`count(/site//person)`)); c != "2" {
 		t.Fatalf("OpenBytes result %q", c)
 	}
 }
@@ -96,11 +104,11 @@ func TestWorkloadDrivenCompression(t *testing.T) {
 		t.Logf("note: cost model kept join sides separate (%s vs %s)", g1, g2)
 	}
 	// Queries still work under the tuned plan.
-	res, err := db.Query(`count(/site/people/person)`)
+	res, err := db.Execute(context.Background(), `count(/site/people/person)`, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out, _ := res.SerializeXML(); out == "0" {
+	if out, _ := drainXML(res); out == "0" {
 		t.Fatal("no persons")
 	}
 }
@@ -186,11 +194,11 @@ func TestConcurrentQueries(t *testing.T) {
 	}
 	want := make([]string, len(queries))
 	for i, q := range queries {
-		r, err := db.Query(q)
+		r, err := db.Execute(context.Background(), q, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i], _ = r.SerializeXML()
+		want[i], _ = drainXML(r)
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
@@ -200,12 +208,12 @@ func TestConcurrentQueries(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 6; i++ {
 				qi := (w + i) % len(queries)
-				r, err := db.Query(queries[qi])
+				r, err := db.Execute(context.Background(), queries[qi], QueryOptions{})
 				if err != nil {
 					errs <- err
 					return
 				}
-				out, err := r.SerializeXML()
+				out, err := drainXML(r)
 				if err != nil {
 					errs <- err
 					return
@@ -254,16 +262,16 @@ func TestWorkloadQueriesEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range []string{xmarkq.Q1, xmarkq.Q5, xmarkq.Q8} {
-		r1, err := db.Query(q)
+		r1, err := db.Execute(context.Background(), q, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := blind.Query(q)
+		r2, err := blind.Execute(context.Background(), q, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s1, _ := r1.SerializeXML()
-		s2, _ := r2.SerializeXML()
+		s1, _ := drainXML(r1)
+		s2, _ := drainXML(r2)
 		if s1 != s2 {
 			t.Fatalf("tuned and blind databases disagree on %.40q", q)
 		}
