@@ -146,6 +146,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBitvectorRankSelect -fuzztime 5s ./internal/succinct/
 	$(GO) test -run '^$$' -fuzz FuzzBPNavigation -fuzztime 5s ./internal/succinct/
 	$(GO) test -run '^$$' -fuzz FuzzBulkNavigation -fuzztime 5s ./internal/storage/
+	$(GO) test -run '^$$' -fuzz FuzzParseManifest -fuzztime 5s ./internal/shard/
 
 # Full paper benchmark suite (scaled-down in-test versions).
 bench-paper:

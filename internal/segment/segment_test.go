@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"xquec/internal/shard"
 	"xquec/internal/storage"
@@ -82,45 +83,6 @@ func TestConcat(t *testing.T) {
 	}
 }
 
-func TestManifestRoundTripAndValidation(t *testing.T) {
-	m := &Manifest{
-		Format:        ManifestFormat,
-		RootTag:       "site",
-		Segments:      []string{"a.seg-000000.xqc", "a.seg-000001.xqc"},
-		DictHashes:    []string{shard.DictionaryHash([]string{"site"}), shard.DictionaryHash([]string{"site", "a"})},
-		OriginalSizes: []int{10, 20},
-		Generation:    2,
-		Sequence:      2,
-	}
-	data, err := MarshalManifest(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ParseManifest(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.RootTag != m.RootTag || got.Generation != 2 || len(got.Segments) != 2 {
-		t.Fatalf("round trip = %+v", got)
-	}
-
-	bad := []struct {
-		name, json, want string
-	}{
-		{"not json", `{`, "not valid JSON"},
-		{"wrong format", `{"format":"xqcs1","root_tag":"r","segments":["s"],"dict_hashes":["h"],"original_sizes":[1]}`, "manifest format"},
-		{"no segments", `{"format":"xqcg1","root_tag":"r","segments":[],"dict_hashes":[],"original_sizes":[]}`, "no segments"},
-		{"no root", `{"format":"xqcg1","segments":["s"],"dict_hashes":["h"],"original_sizes":[1]}`, "no root tag"},
-		{"hash mismatch", `{"format":"xqcg1","root_tag":"r","segments":["s"],"dict_hashes":[],"original_sizes":[1]}`, "dictionary hashes"},
-		{"size mismatch", `{"format":"xqcg1","root_tag":"r","segments":["s"],"dict_hashes":["h"],"original_sizes":[]}`, "original sizes"},
-	}
-	for _, tc := range bad {
-		if _, err := ParseManifest([]byte(tc.json)); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
-		}
-	}
-}
-
 func mustLoad(t *testing.T, doc string, dict []string) *storage.Store {
 	t.Helper()
 	st, err := storage.Load([]byte(doc), storage.LoadOptions{Dictionary: dict})
@@ -130,13 +92,13 @@ func mustLoad(t *testing.T, doc string, dict []string) *storage.Store {
 	return st
 }
 
-func testSet(t *testing.T) *Set {
+func testSet(t *testing.T) *shard.Set {
 	t.Helper()
-	base, err := NewBase(mustLoad(t, `<site><a><n>1</n></a></site>`, nil))
+	base, err := Base(mustLoad(t, `<site><a><n>1</n></a></site>`, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := base.Append([][]byte{
+	set, err := Append(base, [][]byte{
 		[]byte(`<site><a><n>2</n></a></site>`),
 		[]byte(`<site><b><n>3</n></b></site>`),
 	}, storage.LoadOptions{})
@@ -148,10 +110,10 @@ func testSet(t *testing.T) *Set {
 
 func TestSetAppendSharesDictionaryChain(t *testing.T) {
 	set := testSet(t)
-	if set.Segments() != 3 {
-		t.Fatalf("segments = %d", set.Segments())
+	if len(set.Stores) != 3 {
+		t.Fatalf("segments = %d", len(set.Stores))
 	}
-	if set.Man.Generation != 2 || set.Man.Sequence != 3 {
+	if set.Man.Generation != 2 || set.Man.Kind != shard.KindSegment {
 		t.Fatalf("manifest = %+v", set.Man)
 	}
 	for i := 1; i < len(set.Stores); i++ {
@@ -165,19 +127,19 @@ func TestSetAppendSharesDictionaryChain(t *testing.T) {
 			}
 		}
 	}
-	if err := set.validate(); err != nil {
+	if _, err := shard.NewSet(set.Man, set.Stores, ""); err != nil {
 		t.Fatalf("validate: %v", err)
 	}
 
 	// Append validation failures leave no trace.
-	if _, err := set.Append([][]byte{[]byte(`<other/>`)}, storage.LoadOptions{}); err == nil {
+	if _, err := Append(set, [][]byte{[]byte(`<other/>`)}, storage.LoadOptions{}); err == nil {
 		t.Fatal("root mismatch should fail")
 	}
-	if _, err := set.Append(nil, storage.LoadOptions{}); err == nil {
+	if _, err := Append(set, nil, storage.LoadOptions{}); err == nil {
 		t.Fatal("empty append should fail")
 	}
-	if set.Segments() != 3 {
-		t.Fatalf("receiver mutated: %d segments", set.Segments())
+	if len(set.Stores) != 3 || len(set.Man.Members) != 3 {
+		t.Fatalf("receiver mutated: %d segments", len(set.Stores))
 	}
 }
 
@@ -191,11 +153,11 @@ func TestSetFuseAndCompact(t *testing.T) {
 	if string(xml) != want {
 		t.Fatalf("FuseXML = %s, want %s", xml, want)
 	}
-	compacted, err := set.Compact(nil, storage.LoadOptions{})
+	compacted, err := Compact(set, nil, storage.LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if compacted.Segments() != 1 || compacted.Man.Generation != set.Man.Generation+1 {
+	if len(compacted.Stores) != 1 || compacted.Man.Generation != set.Man.Generation+1 {
 		t.Fatalf("compacted = %+v", compacted.Man)
 	}
 	if compacted.TopologyKey() == set.TopologyKey() {
@@ -209,58 +171,106 @@ func TestSetFuseAndCompact(t *testing.T) {
 		t.Fatalf("compacted corpus = %s, want %s", cxml, want)
 	}
 	// The old set is untouched.
-	if set.Segments() != 3 {
-		t.Fatalf("receiver mutated: %d segments", set.Segments())
+	if len(set.Stores) != 3 {
+		t.Fatalf("receiver mutated: %d segments", len(set.Stores))
+	}
+
+	// Empty and attributed roots splice like segment.Concat.
+	docs := []string{`<site k="v"/>`, `<site/>`, `<site>t<c/></site>`}
+	set, err = Base(mustLoad(t, docs[0], nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range docs[1:] {
+		if set, err = Append(set, [][]byte{[]byte(doc)}, storage.LoadOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if xml, err = set.FuseXML(); err != nil || string(xml) != `<site k="v">t<c/></site>` {
+		t.Fatalf("FuseXML = %s, %v", xml, err)
 	}
 }
 
 func TestSetSaveOpenValidateGC(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "corpus"+ManifestExt)
+	path := filepath.Join(dir, "corpus"+shard.SegmentManifestExt)
 	set := testSet(t)
-	if err := set.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	opened, err := Open(path)
+	saved, err := set.Save(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opened.Segments() != 3 || opened.TopologyKey() != set.TopologyKey() {
-		t.Fatalf("opened = %d segments, key %s vs %s", opened.Segments(), opened.TopologyKey(), set.TopologyKey())
+	if set.Man.Members[0] != "" {
+		t.Fatal("Save mutated the receiver's manifest")
+	}
+	opened, err := shard.OpenSet(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(opened.Stores) != 3 || opened.TopologyKey() != set.TopologyKey() {
+		t.Fatalf("opened = %d segments, key %s vs %s", len(opened.Stores), opened.TopologyKey(), set.TopologyKey())
+	}
+
+	// A commit writes only its new segment.
+	grown, err := Append(saved, [][]byte{[]byte(`<site><c/></site>`)}, storage.LoadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := segFiles(t, dir)
+	if grown, err = grown.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	after := segFiles(t, dir)
+	for name, mod := range before {
+		if after[name] != mod {
+			t.Fatalf("saving an append rewrote %s", name)
+		}
+	}
+	if len(after) != 4 {
+		t.Fatalf("segment files after append = %v, want 4", after)
 	}
 
 	// Compaction + save drops the superseded segment files.
-	compacted, err := set.Compact(nil, storage.LoadOptions{})
+	compacted, err := Compact(grown, nil, storage.LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := compacted.Save(path); err != nil {
+	if _, err := compacted.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	segFiles := 0
-	for _, e := range entries {
-		if strings.Contains(e.Name(), ".seg-") {
-			segFiles++
-		}
-	}
-	if segFiles != 1 {
-		t.Fatalf("stale segment files survived GC: %d", segFiles)
+	if n := len(segFiles(t, dir)); n != 1 {
+		t.Fatalf("stale segment files survived GC: %d", n)
 	}
 
 	// A segment from a different lineage is rejected at open.
-	reopened, err := Open(path)
+	reopened, err := shard.OpenSet(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	foreign := mustLoad(t, `<site><z/></site>`, nil)
-	if err := foreign.SaveFile(filepath.Join(dir, reopened.Man.Segments[0])); err != nil {
+	if err := foreign.SaveFile(filepath.Join(dir, reopened.Man.Members[0])); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(path); err == nil || !strings.Contains(err.Error(), "dictionary hash") {
+	if _, err := shard.OpenSet(path); err == nil || !strings.Contains(err.Error(), "dictionary hash") {
 		t.Fatalf("lineage mismatch err = %v", err)
 	}
+}
+
+// segFiles maps each segment file in dir to its modification time.
+func segFiles(t *testing.T, dir string) map[string]time.Time {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]time.Time{}
+	for _, e := range entries {
+		if strings.Contains(e.Name(), ".seg-") {
+			info, err := e.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[e.Name()] = info.ModTime()
+		}
+	}
+	return out
 }

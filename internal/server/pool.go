@@ -16,6 +16,7 @@ import (
 	"sync"
 
 	"xquec"
+	"xquec/internal/shard"
 )
 
 // Pool is an LRU cache of open repositories keyed by repository name.
@@ -194,9 +195,9 @@ func (p *Pool) ResidentBytes() map[string]int64 {
 
 // Available lists the repository names present in the pool's directory
 // — .xqc repositories, .xqcs shard-set manifests and .xqcg segment-set
-// manifests (per-shard *.shard-NNN.xqc and per-segment *.seg-NNNNNN.xqc
-// files belong to their manifest and are not listed separately), sorted
-// and deduplicated.
+// manifests (set member files belong to their manifest and are not
+// listed separately; shard.IsMemberFile recognizes them), sorted and
+// deduplicated.
 func (p *Pool) Available() ([]string, error) {
 	des, err := os.ReadDir(p.dir)
 	if err != nil {
@@ -219,12 +220,8 @@ func (p *Pool) Available() ([]string, error) {
 			add(strings.TrimSuffix(de.Name(), ".xqcs"))
 		case strings.HasSuffix(de.Name(), ".xqcg"):
 			add(strings.TrimSuffix(de.Name(), ".xqcg"))
-		case strings.HasSuffix(de.Name(), ".xqc"):
-			base := strings.TrimSuffix(de.Name(), ".xqc")
-			if strings.LastIndex(base, ".shard-") >= 0 || strings.LastIndex(base, ".seg-") >= 0 {
-				continue // a manifest's shard/segment file, addressed via the manifest
-			}
-			add(base)
+		case strings.HasSuffix(de.Name(), ".xqc") && !shard.IsMemberFile(de.Name()):
+			add(strings.TrimSuffix(de.Name(), ".xqc"))
 		}
 	}
 	sort.Strings(names)

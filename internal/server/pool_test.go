@@ -119,13 +119,29 @@ func TestPoolAvailable(t *testing.T) {
 	writeRepo(t, dir, "b", "<doc><a>1</a></doc>")
 	writeRepo(t, dir, "a", "<doc><a>1</a></doc>")
 	os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("x"), 0o644)
+	// Set member files are addressed through their manifest: neither the
+	// names saves write now nor the fixed shard names of older saves are
+	// listed as repositories.
+	sharded, err := xquec.Compress([]byte("<doc><a>1</a><a>2</a></doc>"), xquec.Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sharded.SaveFile(filepath.Join(dir, "s.xqcs")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "s.shard-000000.xqc")); err != nil {
+		t.Fatal(err)
+	}
+	for _, member := range []string{"old.shard-000", "old.seg-000001", "g.seg-000000"} {
+		writeRepo(t, dir, member, "<doc><a>1</a></doc>")
+	}
 	p := NewPool(dir, 2)
 	names, err := p.Available()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("names = %v", names)
+	if strings.Join(names, ",") != "a,b,s" {
+		t.Fatalf("names = %v, want [a b s]", names)
 	}
 }
 

@@ -20,10 +20,10 @@ type Decision struct {
 // members. The proof obligation: every result item must be computable
 // from a single partitioned subtree, and the item stream of each member
 // must be a rank-contiguous subsequence of the global result. One proof
-// serves every topology; it reads only the partition level and whether
-// spine attributes are replicated (Topology.Level, SpineAttrs). For a
-// segment set the spine is the corpus root, the level is 2 and the rank
-// is the segment index.
+// serves both kinds of set; it reads only the partition level and
+// whether spine attributes are replicated (shard sets). For a segment
+// set the spine is the corpus root, the level is 2 and the rank is the
+// segment index.
 //
 // Sufficient conditions, checked structurally:
 //
@@ -54,7 +54,7 @@ type Decision struct {
 // work and needs no analysis. Queries failing these checks fall back
 // to the fused store, trading speed for unconditional correctness.
 func Analyze(expr xquery.Expr, set *Set) Decision {
-	level, member := set.topo.Level, set.topo.Member
+	level, member := set.Man.PartitionLevel, set.Man.Kind
 
 	var binding *xquery.PathExpr
 	switch x := expr.(type) {
@@ -136,7 +136,7 @@ func Analyze(expr xquery.Expr, set *Set) Decision {
 			if depth < level {
 				return Decision{Reason: "binding path reaches spine nodes (the root and any element above the partition level, present in every " + member + ")"}
 			}
-			if depth == level && set.topo.SpineAttrs && strings.HasPrefix(sn.Tag, "@") {
+			if depth == level && member == KindShard && strings.HasPrefix(sn.Tag, "@") {
 				return Decision{Reason: "binding path reaches partition-level attributes (spine-owned)"}
 			}
 		}

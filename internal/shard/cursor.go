@@ -22,7 +22,7 @@ type srcItem struct {
 //
 // Ordering: within a queue ranks are non-decreasing and items of equal
 // rank stay adjacent (the heap's strict-< sift never reorders ties,
-// and ties cannot occur across queues — Topology.Rank never ties
+// and ties cannot occur across queues — Set.rank never ties
 // across members), so the merged stream is exactly the whole-corpus
 // document-order result.
 type Cursor struct {

@@ -16,9 +16,9 @@ import (
 	"xquec/internal/storage"
 )
 
-// The coordinator fault suite runs on both topologies: shard sets, and
-// a segment set's view (one worker per segment, rank = segment index).
-// It lives in an external test package because the segment package
+// The coordinator fault suite runs on both kinds of set: shard sets,
+// and segment sets (one worker per segment, rank = segment index). It
+// lives in an external test package because the segment package
 // imports this one.
 
 // faultQuery is scatterable and returns enough items that every member
@@ -54,18 +54,18 @@ func segmentDocs() [][]byte {
 
 // buildSegments grows a segment set from docs: the first is the base,
 // each later one an append segment.
-func buildSegments(t *testing.T, docs [][]byte) *segment.Set {
+func buildSegments(t *testing.T, docs [][]byte) *shard.Set {
 	t.Helper()
 	st, err := storage.Load(docs[0], storage.LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := segment.NewBase(st)
+	set, err := segment.Base(st)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(docs) > 1 {
-		if set, err = set.Append(docs[1:], storage.LoadOptions{}); err != nil {
+		if set, err = segment.Append(set, docs[1:], storage.LoadOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -89,7 +89,7 @@ func faultInputs(t *testing.T, shardCounts ...int) []faultInput {
 	}
 	out = append(out, faultInput{
 		name: "segments=3",
-		set:  buildSegments(t, docs).View(),
+		set:  buildSegments(t, docs),
 		want: unshardedXML(t, concat, faultQuery),
 	})
 	return out

@@ -1,8 +1,13 @@
 package shard
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"io/fs"
+	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -20,48 +25,26 @@ type span struct {
 	start, end storage.NodeID
 }
 
-// Topology is how a set's members partition one logical corpus: the
-// facts the scatter analyzer, the workers' rank stamping and the fused
-// fallback need, and nothing else. Shards and segments are both N
-// compressed repositories sharing one name dictionary; they differ only
-// in these facts.
-type Topology struct {
-	// Member names one partition in messages and EXPLAIN output
-	// ("shard" or "segment").
-	Member string
-	// Level is the partition level (root = 1): every element at this
-	// depth or below lives in exactly one member; the elements above it
-	// are the spine, present in every member.
-	Level int
-	// SpineAttrs reports whether the attributes of spine elements are
-	// replicated in every member. The shard splitter echoes the spine
-	// with its attributes into every shard; appended segment roots carry
-	// no attributes, so only the base segment holds any.
-	SpineAttrs bool
-	// Rank maps a binding node of member m to its global merge rank;
-	// ok=false marks a spine node. Ranks are non-decreasing in document
-	// order within one member and never tie across members.
-	Rank func(m int, id storage.NodeID) (rank uint64, ok bool)
-	// FuseXML reconstructs the whole corpus document.
-	FuseXML func() ([]byte, error)
-	// Key identifies the topology for cache keying: two sets answer
-	// queries identically only if their keys match.
-	Key string
-	// OriginalSize is the uncompressed corpus size in bytes.
-	OriginalSize int
-}
-
 // Set is N member repositories opened as one logical corpus: the
-// stores, their topology, and the lazily built fused store and
-// workers. A shard set also carries its manifest and the per-shard
-// subtree tables that map a node to its global document-order rank; a
-// view over another kind of member set (NewView) carries neither.
+// manifest, the member stores in member order, and the lazily built
+// fused store and workers. A Set is an immutable value — a save, an
+// append or a compaction returns a new Set sharing the unchanged
+// stores — so a reader holding one keeps a consistent snapshot.
+//
+// Every element at or below the partition level lives in exactly one
+// member; the elements above it are the spine, present in every member.
+// A shard set replicates the spine's attributes and text in every
+// shard; a segment set's appended roots are attribute-free, so only the
+// base segment holds root attributes.
 type Set struct {
-	Man    *Manifest // nil for a view
+	Man    *Manifest
 	Stores []*storage.Store
+	// Dir is the directory holding the member files the manifest names;
+	// empty for a set whose members were never opened or saved.
+	Dir string
 
-	topo   Topology
-	tables [][]span // per shard, partitioned subtree roots in doc order
+	key    string
+	tables [][]span // shard sets: per shard, partitioned subtree roots in doc order
 
 	// fused is the lazily reconstructed single-store view, used for
 	// queries the scatter analyzer declines (aggregates over the whole
@@ -74,12 +57,6 @@ type Set struct {
 	workers     []Worker
 }
 
-// NewView returns a set over stores partitioned as topo — how a member
-// set other than a shard set (a segment set) enters the query path.
-func NewView(stores []*storage.Store, topo Topology) *Set {
-	return &Set{Stores: stores, topo: topo}
-}
-
 // Build splits src into `shards` shard repositories (shard-aware
 // ingest) and assembles the in-memory Set.
 func Build(src []byte, shards int, opts storage.LoadOptions) (*Set, error) {
@@ -89,34 +66,32 @@ func Build(src []byte, shards int, opts storage.LoadOptions) (*Set, error) {
 	}
 	man := &Manifest{
 		Format:         ManifestFormat,
-		Shards:         make([]string, shards),
+		Kind:           KindShard,
+		Members:        make([]string, shards),
+		DictHashes:     slices.Repeat([]string{DictionaryHash(split.Dictionary)}, shards),
 		PartitionLevel: split.PartitionLevel,
+		OriginalSize:   len(src),
+		Generation:     1,
 		Routing:        "roundrobin",
 		Subtrees:       split.Subtrees,
 		SubtreeCounts:  split.SubtreeCounts,
-		DictHash:       DictionaryHash(split.Dictionary),
-		OriginalSize:   len(src),
 	}
-	for i := range man.Shards {
-		man.Shards[i] = fmt.Sprintf("shard-%03d.xqc", i)
-	}
-	return newSet(man, stores)
+	return NewSet(man, stores, "")
 }
 
-// OpenSet loads a shard set from its manifest file. Shard repositories
-// load in parallel; each is checked against the manifest's dictionary
-// hash so shards from different builds cannot be mixed.
+// OpenSet loads a set from its manifest file. Member repositories load
+// in parallel and are validated against the manifest (see NewSet).
 func OpenSet(path string) (*Set, error) {
 	man, err := ReadManifest(path)
 	if err != nil {
 		return nil, err
 	}
 	dir := filepath.Dir(path)
-	stores := make([]*storage.Store, len(man.Shards))
-	err = xpar.ForEach(len(man.Shards), len(man.Shards), func(i int) error {
-		st, err := storage.OpenFile(filepath.Join(dir, man.Shards[i]))
+	stores := make([]*storage.Store, len(man.Members))
+	err = xpar.ForEach(len(stores), len(stores), func(i int) error {
+		st, err := storage.OpenFile(filepath.Join(dir, man.Members[i]))
 		if err != nil {
-			return fmt.Errorf("shard: opening shard %d (%s): %w", i, man.Shards[i], err)
+			return fmt.Errorf("shard: opening %s %d (%s): %w", man.Kind, i, man.Members[i], err)
 		}
 		stores[i] = st
 		return nil
@@ -124,56 +99,63 @@ func OpenSet(path string) (*Set, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newSet(man, stores)
+	return NewSet(man, stores, dir)
 }
 
-// OpenSetBytes assembles a set from a parsed manifest and raw shard
-// repository bytes (index-aligned with man.Shards) — the in-memory
-// counterpart of OpenSet.
-func OpenSetBytes(man *Manifest, shardData [][]byte) (*Set, error) {
-	if len(shardData) != len(man.Shards) {
-		return nil, fmt.Errorf("shard: %d shard payloads for %d shards", len(shardData), len(man.Shards))
-	}
-	stores := make([]*storage.Store, len(shardData))
-	err := xpar.ForEach(len(shardData), len(shardData), func(i int) error {
-		st, err := storage.LoadBinary(shardData[i])
-		if err != nil {
-			return fmt.Errorf("shard: decoding shard %d: %w", i, err)
-		}
-		stores[i] = st
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return newSet(man, stores)
-}
-
-func newSet(man *Manifest, stores []*storage.Store) (*Set, error) {
-	if len(stores) != len(man.Shards) {
-		return nil, fmt.Errorf("shard: %d stores for %d manifest shards", len(stores), len(man.Shards))
-	}
-	s := &Set{Man: man, Stores: stores, tables: make([][]span, len(stores))}
-	s.topo = Topology{
-		Member:     "shard",
-		Level:      man.PartitionLevel,
-		SpineAttrs: true,
-		Rank:       s.rankOf,
-		FuseXML:    s.fuseXML,
-		Key: fmt.Sprintf("shards=%d;level=%d;subtrees=%d;dict=%.12s",
-			len(stores), man.PartitionLevel, man.Subtrees, man.DictHash),
-		OriginalSize: man.OriginalSize,
+// NewSet assembles a set from its manifest and member stores and checks
+// that the stores are the members the manifest describes: every
+// member's dictionary hash matches; a shard's partitioned subtree count
+// matches; a segment's root is the manifest's root tag and its
+// dictionary extends the previous segment's as a prefix. dir is where
+// the members the manifest names are on disk (see Set.Dir).
+func NewSet(man *Manifest, stores []*storage.Store, dir string) (*Set, error) {
+	kind := man.Kind
+	if len(stores) != len(man.Members) {
+		return nil, fmt.Errorf("shard: %d stores for %d manifest members", len(stores), len(man.Members))
 	}
 	for i, st := range stores {
-		if got := DictionaryHash(st.Names); got != man.DictHash {
-			return nil, fmt.Errorf("shard: shard %d dictionary hash %.12s does not match manifest %.12s (mixed shard builds?)", i, got, man.DictHash)
-		}
-		s.tables[i] = subtreeTable(st, man.PartitionLevel)
-		if len(s.tables[i]) != man.SubtreeCounts[i] {
-			return nil, fmt.Errorf("shard: shard %d has %d partitioned subtrees, manifest says %d", i, len(s.tables[i]), man.SubtreeCounts[i])
+		if got := DictionaryHash(st.Names); got != man.DictHashes[i] {
+			return nil, fmt.Errorf("shard: %s %d dictionary hash %.12s does not match manifest %.12s (mixed %s builds?)", kind, i, got, man.DictHashes[i], kind)
 		}
 	}
-	return s, nil
+	var tables [][]span
+	switch kind {
+	case KindShard:
+		tables = make([][]span, len(stores))
+		for i, st := range stores {
+			tables[i] = subtreeTable(st, man.PartitionLevel)
+			if len(tables[i]) != man.SubtreeCounts[i] {
+				return nil, fmt.Errorf("shard: shard %d has %d partitioned subtrees, manifest says %d", i, len(tables[i]), man.SubtreeCounts[i])
+			}
+		}
+	case KindSegment:
+		for i, st := range stores {
+			if tag := st.TagOf(1); tag != man.RootTag {
+				return nil, fmt.Errorf("shard: segment %d root <%s> does not match manifest root <%s>", i, tag, man.RootTag)
+			}
+			if i == 0 {
+				continue
+			}
+			if prev := stores[i-1].Names; len(st.Names) < len(prev) || !slices.Equal(st.Names[:len(prev)], prev) {
+				return nil, fmt.Errorf("shard: segment %d dictionary does not extend segment %d's", i, i-1)
+			}
+		}
+	default:
+		return nil, fmt.Errorf("shard: unknown set kind %q", kind)
+	}
+	return newSet(man, stores, tables, dir), nil
+}
+
+// newSet builds a Set without validation, deriving its topology key.
+func newSet(man *Manifest, stores []*storage.Store, tables [][]span, dir string) *Set {
+	return &Set{
+		Man:    man,
+		Stores: stores,
+		Dir:    dir,
+		tables: tables,
+		key: fmt.Sprintf("%ss=%d;level=%d;subtrees=%d;gen=%d;dict=%.12s",
+			man.Kind, len(stores), man.PartitionLevel, man.Subtrees, man.Generation, man.DictHashes[len(stores)-1]),
+	}
 }
 
 // subtreeTable collects the partitioned subtree roots of one shard
@@ -197,18 +179,18 @@ func subtreeTable(st *storage.Store, level int) []span {
 	return out
 }
 
-// Member names one partition of the set ("shard" or "segment").
-func (s *Set) Member() string { return s.topo.Member }
-
-// OriginalSize is the uncompressed corpus size in bytes.
-func (s *Set) OriginalSize() int { return s.topo.OriginalSize }
-
-// rankOf maps a node of one shard store to the global document-order
-// rank of the partitioned subtree containing it. ok is false for spine
-// nodes (nodes outside every partitioned subtree) — a scatter-safe
-// query never binds those.
-func (s *Set) rankOf(shard int, id storage.NodeID) (uint64, bool) {
-	table := s.tables[shard]
+// rank maps a binding node of member m to its global merge rank; ok is
+// false for a spine node, which a scatter-safe query never binds. Ranks
+// are non-decreasing in document order within one member and never tie
+// across members. Everything below the root of segment k precedes
+// segment k+1 in the corpus, so a segment's rank is its index; a
+// shard's is the global document-order rank of the partitioned subtree
+// containing the node.
+func (s *Set) rank(m int, id storage.NodeID) (uint64, bool) {
+	if s.Man.Kind == KindSegment {
+		return uint64(m), true
+	}
+	table := s.tables[m]
 	lo, hi := 0, len(table)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -222,31 +204,98 @@ func (s *Set) rankOf(shard int, id storage.NodeID) (uint64, bool) {
 	if k < 0 || id > table[k].end {
 		return 0, false
 	}
-	return uint64(k)*uint64(len(s.Stores)) + uint64(shard), true
+	return uint64(k)*uint64(len(s.Stores)) + uint64(m), true
 }
 
 // TopologyKey describes the set's topology for cache keying: two sets
-// answer queries identically only if their topology keys match.
-func (s *Set) TopologyKey() string { return s.topo.Key }
+// answer queries identically only if their topology keys match. The
+// generation is included so a compaction (same logical corpus, new
+// stores) still rolls the key.
+func (s *Set) TopologyKey() string { return s.key }
 
-// Save writes the shard repositories next to the manifest at path
-// (which should end in ManifestExt). Shard file names derive from the
-// manifest base name, and the manifest is written last so a readable
-// manifest implies readable shards.
-func (s *Set) Save(path string) error {
+// Save persists the set at path: the member repositories next to the
+// manifest, then the manifest. Whatever the kind, it
+//
+//  1. never writes over a file the manifest currently at path names:
+//     new members take names that manifest does not reference,
+//     continuing its naming sequence;
+//  2. writes only members that are not already on disk under their
+//     name, so a commit writes only its new segments;
+//  3. swaps the manifest in last, atomically, then removes this
+//     manifest's member files that nothing references any more.
+//
+// A crash at any point therefore leaves the previous manifest and every
+// file it names intact. Save does not modify the receiver; it returns
+// the set as persisted, whose members a later Save to the same path
+// recognizes as already on disk.
+func (s *Set) Save(path string) (*Set, error) {
 	dir := filepath.Dir(path)
-	base := strings.TrimSuffix(filepath.Base(path), ManifestExt)
+	kind := s.Man.Kind
+	ext := ManifestExt
+	if kind == KindSegment {
+		ext = SegmentManifestExt
+	}
+	base := strings.TrimSuffix(filepath.Base(path), ext)
+
+	man := *s.Man
+	man.Members = slices.Clone(s.Man.Members)
+	// referenced maps each member the current manifest names to its
+	// dictionary hash. A manifest that does not parse names nothing Open
+	// would accept, so there is no generation to protect.
+	referenced := map[string]string{}
+	if data, err := os.ReadFile(path); err == nil {
+		if cur, err := ParseManifest(data); err == nil {
+			for i, name := range cur.Members {
+				referenced[name] = cur.DictHashes[i]
+			}
+			man.Sequence = max(man.Sequence, cur.Sequence)
+		}
+	} else if !errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("shard: reading the manifest to replace: %w", err)
+	}
 	for i, st := range s.Stores {
-		s.Man.Shards[i] = fmt.Sprintf("%s.shard-%03d.xqc", base, i)
-		if err := st.SaveFile(filepath.Join(dir, s.Man.Shards[i])); err != nil {
-			return err
+		if h, ok := referenced[man.Members[i]]; ok && s.Dir == dir && h == man.DictHashes[i] {
+			continue
+		}
+		var name string
+		for {
+			name = memberName(base, kind, man.Sequence)
+			man.Sequence++
+			if _, taken := referenced[name]; !taken {
+				break
+			}
+		}
+		if err := st.SaveFile(filepath.Join(dir, name)); err != nil {
+			return nil, err
+		}
+		man.Members[i] = name
+	}
+	data, err := MarshalManifest(&man)
+	if err != nil {
+		return nil, err
+	}
+	if err := storage.WriteFileAtomic(path, append(data, '\n')); err != nil {
+		return nil, err
+	}
+	removeUnreferenced(dir, base, kind, man.Members)
+	return newSet(&man, s.Stores, s.tables, dir), nil
+}
+
+// removeUnreferenced deletes the member files of the manifest named by
+// base that members no longer lists: files of superseded generations
+// and of saves that failed partway. Best-effort — a failed removal
+// leaves garbage, never corruption.
+func removeUnreferenced(dir, base, kind string, members []string) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return
+	}
+	for _, e := range entries {
+		m := memberFile.FindStringSubmatch(e.Name())
+		if m != nil && m[1] == base && m[2] == memberInfix[kind] && !slices.Contains(members, e.Name()) {
+			os.Remove(filepath.Join(dir, e.Name()))
 		}
 	}
-	data, err := MarshalManifest(s.Man)
-	if err != nil {
-		return err
-	}
-	return storage.WriteFileAtomic(path, append(data, '\n'))
 }
 
 // Fused returns the single-store view of the set, reconstructing the
@@ -263,7 +312,7 @@ func (s *Set) Fused(parallelism int) (*storage.Store, error) {
 		}
 		xml, err := s.FuseXML()
 		if err != nil {
-			s.fuseErr = fmt.Errorf("%s: reconstructing corpus: %w", s.topo.Member, err)
+			s.fuseErr = fmt.Errorf("%s: reconstructing corpus: %w", s.Man.Kind, err)
 			return
 		}
 		s.fused, s.fuseErr = storage.Load(xml, storage.LoadOptions{Parallelism: parallelism})
@@ -272,7 +321,49 @@ func (s *Set) Fused(parallelism int) (*storage.Store, error) {
 }
 
 // FuseXML reconstructs the whole corpus document from the members.
-func (s *Set) FuseXML() ([]byte, error) { return s.topo.FuseXML() }
+func (s *Set) FuseXML() ([]byte, error) {
+	if s.Man.Kind == KindSegment {
+		return s.concatXML()
+	}
+	return s.fuseXML()
+}
+
+// concatXML reconstructs a segment set's corpus: the base document with
+// every later segment's root content appended under its root, in
+// segment order (the textual definition is segment.Concat). Segments
+// serialize in parallel; the serializer writes an attribute-free root
+// as "<tag>content</tag>" or "<tag/>", which fixes where content starts
+// and ends.
+func (s *Set) concatXML() ([]byte, error) {
+	docs := make([][]byte, len(s.Stores))
+	err := xpar.ForEach(len(docs), len(docs), func(i int) error {
+		xml, err := s.Stores[i].Serialize(nil, 1)
+		if err != nil {
+			return fmt.Errorf("serializing segment %d: %w", i, err)
+		}
+		docs[i] = xml
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	open, closeTag := "<"+s.Man.RootTag+">", "</"+s.Man.RootTag+">"
+	out := docs[0]
+	if bytes.HasSuffix(out, []byte("/>")) {
+		out = append(out[:len(out)-2], '>')
+	} else {
+		out = out[:len(out)-len(closeTag)]
+	}
+	for i, doc := range docs[1:] {
+		switch {
+		case bytes.HasPrefix(doc, []byte(open)):
+			out = append(out, doc[len(open):len(doc)-len(closeTag)]...)
+		case string(doc) != "<"+s.Man.RootTag+"/>":
+			return nil, fmt.Errorf("segment %d root carries attributes", i+1)
+		}
+	}
+	return append(out, closeTag...), nil
+}
 
 // fuseXML reconstructs the original document from the shards: the
 // spine (and its text) comes from shard 0, and each spine parent's

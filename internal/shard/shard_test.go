@@ -122,14 +122,14 @@ func analyzeQ(t *testing.T, set *shard.Set, q string) shard.Decision {
 	return shard.Analyze(expr, set)
 }
 
-// TestAnalyzeSegments runs the analyzer on a segment set's view:
+// TestAnalyzeSegments runs the analyzer on a segment set:
 // partition level 2, root attributes held by the base segment only.
 func TestAnalyzeSegments(t *testing.T) {
 	set := buildSegments(t, [][]byte{
 		[]byte(`<site><a><n>1</n></a></site>`),
 		[]byte(`<site><a><n>2</n></a></site>`),
 		[]byte(`<site><b><n>3</n></b></site>`),
-	}).View()
+	})
 	scatter := []string{
 		`/site/a/n`,
 		`//n`,
@@ -161,7 +161,7 @@ func TestAnalyzeSegments(t *testing.T) {
 	}
 }
 
-// TestAnalyzeSpineAttrs pins the one topology fact the analyzer reads
+// TestAnalyzeSpineAttrs pins the one kind-specific fact the analyzer reads
 // besides the partition level: a root attribute is replicated in every
 // shard (reject) but held only by the base segment (scatter).
 func TestAnalyzeSpineAttrs(t *testing.T) {
@@ -177,7 +177,7 @@ func TestAnalyzeSpineAttrs(t *testing.T) {
 	if d := analyzeQ(t, shards, q); d.Scatter || !strings.Contains(d.Reason, "attributes") {
 		t.Errorf("shards: %q scatter=%v reason=%q, want an attribute rejection", q, d.Scatter, d.Reason)
 	}
-	segs := buildSegments(t, [][]byte{doc, []byte(`<site><a>5</a></site>`)}).View()
+	segs := buildSegments(t, [][]byte{doc, []byte(`<site><a>5</a></site>`)})
 	if d := analyzeQ(t, segs, q); !d.Scatter {
 		t.Errorf("segments: %q not scattered: %s", q, d.Reason)
 	}

@@ -145,7 +145,7 @@ func (w *inprocWorker) plan(req Request) (*vm.Program, error) {
 }
 
 // inprocStream adapts an engine result to the Stream interface,
-// stamping each item with its topology rank. origin is written by the
+// stamping each item with its merge rank. origin is written by the
 // VM's bind hook strictly before the item it belongs to is yielded, and
 // the VM only advances inside Next, so reading origin after Next is
 // race-free.
@@ -163,10 +163,10 @@ func (s *inprocStream) Next() (Item, bool, error) {
 	if s.origin == 0 {
 		return Item{}, false, fmt.Errorf("shard: item has no binding origin (query was not scatter-analyzed?)")
 	}
-	topo := &s.w.set.topo
-	rank, inSubtree := topo.Rank(s.w.shard, s.origin)
+	set := s.w.set
+	rank, inSubtree := set.rank(s.w.shard, s.origin)
 	if !inSubtree {
-		return Item{}, false, fmt.Errorf("shard: binding %d of %s %d is a spine node", s.origin, topo.Member, s.w.shard)
+		return Item{}, false, fmt.Errorf("shard: binding %d of %s %d is a spine node", s.origin, set.Man.Kind, s.w.shard)
 	}
 	xml, err := s.res.AppendItemXML(nil, it)
 	if err != nil {

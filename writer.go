@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"xquec/internal/segment"
+	"xquec/internal/shard"
 	"xquec/internal/storage"
 )
 
@@ -50,12 +51,12 @@ func NewWriter(db *Database, opts Options) (*Writer, error) {
 	if db.Sharded() {
 		return nil, fmt.Errorf("xquec: a sharded database is not appendable; compact to a single repository first")
 	}
-	if db.segs == nil {
-		segs, err := segment.NewBase(db.store)
+	if !db.Segmented() {
+		set, err := segment.Base(db.store)
 		if err != nil {
 			return nil, err
 		}
-		db = fromSegs(segs)
+		db = fromSet(set)
 	}
 	return &Writer{db: db, opts: opts}, nil
 }
@@ -70,12 +71,15 @@ func (w *Writer) DB() *Database {
 }
 
 // BindFile binds the Writer to a manifest path: every successful
-// Commit and Compact persists the new set there (segment files are
-// written next to it, superseded ones are garbage-collected). A ".xqcg"
-// extension is appended when missing.
+// Commit and Compact persists the new set there through the set's
+// crash-safe save. Only segments not yet on disk are written, each
+// under a new "<base>.seg-NNNNNN.xqc" name next to the manifest; the
+// manifest is swapped in last and superseded segment files are then
+// removed, so a crash leaves the previous generation openable. A
+// ".xqcg" extension is appended when missing.
 func (w *Writer) BindFile(path string) {
-	if !strings.HasSuffix(path, segment.ManifestExt) {
-		path += segment.ManifestExt
+	if !strings.HasSuffix(path, shard.SegmentManifestExt) {
+		path += shard.SegmentManifestExt
 	}
 	w.mu.Lock()
 	w.path = path
@@ -97,7 +101,7 @@ func (w *Writer) OnSwap(fn func(*Database)) {
 func (w *Writer) Append(doc []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if err := w.db.segs.CheckAppend(doc); err != nil {
+	if err := segment.CheckAppend(w.db.set, doc); err != nil {
 		return err
 	}
 	w.pending = append(w.pending, append([]byte(nil), doc...))
@@ -127,18 +131,18 @@ func (w *Writer) commitLocked() (*Database, error) {
 	if len(w.pending) == 0 {
 		return w.db, nil
 	}
-	segs := w.db.segs
+	set := w.db.set
 	for _, doc := range w.pending {
 		plan, err := resolvePlan(doc, w.opts)
 		if err != nil {
 			return nil, err
 		}
-		segs, err = segs.Append([][]byte{doc}, storage.LoadOptions{Plan: plan, Parallelism: w.opts.Parallelism})
+		set, err = segment.Append(set, [][]byte{doc}, storage.LoadOptions{Plan: plan, Parallelism: w.opts.Parallelism})
 		if err != nil {
 			return nil, err
 		}
 	}
-	return w.publishLocked(segs)
+	return w.publishLocked(set)
 }
 
 // Compact commits any staged documents, then folds the whole set into
@@ -154,14 +158,14 @@ func (w *Writer) Compact(ctx context.Context) (*Database, error) {
 	if _, err := w.commitLocked(); err != nil {
 		return nil, err
 	}
-	segs := w.db.segs
-	if segs.Segments() == 1 {
+	set := w.db.set
+	if len(set.Stores) == 1 {
 		return w.db, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	xml, err := segs.FuseXML()
+	xml, err := set.FuseXML()
 	if err != nil {
 		return nil, err
 	}
@@ -175,7 +179,7 @@ func (w *Writer) Compact(ctx context.Context) (*Database, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	compacted, err := segs.Compact(xml, storage.LoadOptions{Plan: plan, Parallelism: w.opts.Parallelism})
+	compacted, err := segment.Compact(set, xml, storage.LoadOptions{Plan: plan, Parallelism: w.opts.Parallelism})
 	if err != nil {
 		return nil, err
 	}
@@ -184,13 +188,14 @@ func (w *Writer) Compact(ctx context.Context) (*Database, error) {
 
 // publishLocked persists (when bound to a file), swaps the current
 // handle, clears the staging area and notifies the swap hook.
-func (w *Writer) publishLocked(segs *segment.Set) (*Database, error) {
+func (w *Writer) publishLocked(set *shard.Set) (*Database, error) {
 	if w.path != "" {
-		if err := segs.Save(w.path); err != nil {
+		var err error
+		if set, err = set.Save(w.path); err != nil {
 			return nil, err
 		}
 	}
-	db := fromSegs(segs)
+	db := fromSet(set)
 	w.pending = nil
 	w.db = db
 	if w.onSwap != nil {

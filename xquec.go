@@ -42,7 +42,6 @@ package xquec
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"strings"
@@ -51,7 +50,6 @@ import (
 
 	"xquec/internal/costmodel"
 	"xquec/internal/engine"
-	"xquec/internal/segment"
 	"xquec/internal/shard"
 	"xquec/internal/storage"
 	"xquec/internal/vm"
@@ -121,14 +119,9 @@ type Database struct {
 	// (a Writer's Commit / Open on a segment-set manifest): the corpus
 	// lives in N member repositories sharing one name dictionary,
 	// scatterable queries fan out across them, and everything else runs
-	// on the lazily fused single store (db.fused). Every read goes
-	// through set; for a segment set it is the set's View.
+	// on the lazily fused single store (db.fused).
 	set   *shard.Set
 	coord *shard.Coordinator
-
-	// segs is the write-side handle of a segmented database, consulted
-	// only by SaveFile and NewWriter.
-	segs *segment.Set
 }
 
 // Compress parses and compresses an XML document into a Database. With
@@ -218,26 +211,17 @@ func WorkloadFromQueries(queries ...string) (*Workload, error) {
 	return workload.FromQueries(queries...)
 }
 
-// Open loads a Database previously saved with SaveFile — a single
-// repository, a shard-set manifest, or a segment-set manifest (all
-// detected by content, so a serving pool can open every kind through
-// one call).
+// Open loads a Database previously saved with SaveFile: a single
+// repository, or a shard- or segment-set manifest (detected by
+// extension, else by content, so a serving pool can open every kind
+// through one call). A set manifest's members are validated against
+// it; a set whose members do not match its manifest fails with
+// ErrCorruptRepository rather than answering.
 func Open(path string) (*Database, error) {
-	kind, err := manifestKind(path)
-	if err != nil {
-		return nil, openErr(fmt.Errorf("xquec: open repository %s: %w", path, err))
-	}
-	switch kind {
-	case manifestSegment:
-		set, err := segment.Open(path)
-		if err != nil {
-			return nil, openErr(fmt.Errorf("xquec: open segment set %s: %w", path, err))
-		}
-		return fromSegs(set), nil
-	case manifestShard:
+	if isManifest(path) {
 		set, err := shard.OpenSet(path)
 		if err != nil {
-			return nil, openErr(fmt.Errorf("xquec: open shard set %s: %w", path, err))
+			return nil, openErr(fmt.Errorf("xquec: open set %s: %w", path, err))
 		}
 		return fromSet(set), nil
 	}
@@ -248,82 +232,32 @@ func Open(path string) (*Database, error) {
 	return fromStore(s), nil
 }
 
-const (
-	manifestNone    = ""
-	manifestShard   = "shard"
-	manifestSegment = "segment"
-)
-
-// manifestKind sniffs whether path is a set manifest, and which kind:
-// by extension first, then by content (manifests are JSON objects
-// carrying a format field, repositories start with the XQCR magic).
-func manifestKind(path string) (string, error) {
-	if strings.HasSuffix(path, shard.ManifestExt) {
-		return manifestShard, nil
-	}
-	if strings.HasSuffix(path, segment.ManifestExt) {
-		return manifestSegment, nil
+// isManifest reports whether path holds a set manifest: by extension
+// first, then by content (manifests are JSON objects, repositories
+// start with the XQCR magic). An unreadable file is left to the
+// repository loader to report.
+func isManifest(path string) bool {
+	if strings.HasSuffix(path, shard.ManifestExt) || strings.HasSuffix(path, shard.SegmentManifestExt) {
+		return true
 	}
 	f, err := os.Open(path)
 	if err != nil {
-		return manifestNone, err
+		return false
 	}
+	defer f.Close()
 	var b [1]byte
-	_, err = f.Read(b[:])
-	f.Close()
-	if err != nil {
-		return manifestNone, err
-	}
-	if b[0] != '{' {
-		return manifestNone, nil
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return manifestNone, err
-	}
-	if kind := sniffManifest(data); kind != manifestNone {
-		return kind, nil
-	}
-	// A JSON object with an unknown format: route to the shard-manifest
-	// parser so the error names the expected format.
-	return manifestShard, nil
+	n, _ := f.Read(b[:])
+	return n == 1 && b[0] == '{'
 }
 
-// sniffManifest classifies raw bytes as a set manifest by the JSON
-// format field; manifestNone for anything that is not a recognizable
-// manifest.
-func sniffManifest(data []byte) string {
-	if len(data) == 0 || data[0] != '{' {
-		return manifestNone
-	}
-	var probe struct {
-		Format string `json:"format"`
-	}
-	if json.Unmarshal(data, &probe) != nil {
-		return manifestNone
-	}
-	switch probe.Format {
-	case shard.ManifestFormat:
-		return manifestShard
-	case segment.ManifestFormat:
-		return manifestSegment
-	}
-	return manifestNone
-}
-
-// OpenBytes loads a Database from serialized repository bytes. Manifest
-// bytes are detected the same way Open detects manifest files — but a
-// manifest only references its shard/segment files, it does not contain
-// them, so OpenBytes rejects one with a typed ErrCorruptRepository
-// explaining the mismatch instead of failing on the magic check.
+// OpenBytes loads a Database from serialized repository bytes. A set
+// manifest only references its member files, it does not contain them,
+// so OpenBytes rejects manifest bytes with a typed ErrCorruptRepository
+// naming the set's kind instead of failing on the magic check.
 func OpenBytes(data []byte) (*Database, error) {
-	switch sniffManifest(data) {
-	case manifestShard:
+	if man, err := shard.ParseManifest(data); err == nil {
 		return nil, tagErr(ErrCorruptRepository, fmt.Errorf(
-			"xquec: load repository: data is a shard-set manifest (%s), which references external shard files rather than containing them; open it from its path with Open", shard.ManifestFormat))
-	case manifestSegment:
-		return nil, tagErr(ErrCorruptRepository, fmt.Errorf(
-			"xquec: load repository: data is a segment-set manifest (%s), which references external segment files rather than containing them; open it from its path with Open", segment.ManifestFormat))
+			"xquec: load repository: data is a %s-set manifest, which references external %s files rather than containing them; open it from its path with Open", man.Kind, man.Kind))
 	}
 	s, err := storage.LoadBinary(data)
 	if err != nil {
@@ -340,20 +274,13 @@ func fromSet(set *shard.Set) *Database {
 	return &Database{set: set, coord: shard.NewCoordinator(set)}
 }
 
-func fromSegs(segs *segment.Set) *Database {
-	db := fromSet(segs.View())
-	db.segs = segs
-	return db
-}
-
-// partitioned reports whether the database is a set whose members are
-// named member ("shard" or "segment").
-func (db *Database) partitioned(member string) bool {
-	return db.set != nil && db.set.Member() == member
+// partitioned reports whether the database is a set of the given kind.
+func (db *Database) partitioned(kind string) bool {
+	return db.set != nil && db.set.Man.Kind == kind
 }
 
 // Sharded reports whether the database is a shard set.
-func (db *Database) Sharded() bool { return db.partitioned("shard") }
+func (db *Database) Sharded() bool { return db.partitioned(shard.KindShard) }
 
 // Shards returns the shard count (1 for an unsharded database).
 func (db *Database) Shards() int {
@@ -365,7 +292,7 @@ func (db *Database) Shards() int {
 
 // Segmented reports whether the database is a segment set (opened from
 // a segment-set manifest or produced by a Writer).
-func (db *Database) Segmented() bool { return db.partitioned("segment") }
+func (db *Database) Segmented() bool { return db.partitioned(shard.KindSegment) }
 
 // Segments returns the segment count (1 for an unsegmented database).
 func (db *Database) Segments() int {
@@ -403,15 +330,16 @@ func (db *Database) fused(parallelism int) (*storage.Store, error) {
 
 // SaveFile persists the database: one repository file, or — for a
 // sharded or segmented database — the manifest at path plus one
-// repository file per shard/segment next to it. Every file is replaced
-// crash-safely (temp file, fsync, rename), members before the manifest,
-// so a crash never leaves a torn file behind.
+// repository file per shard/segment next to it, named
+// "<manifest base>.shard-NNNNNN.xqc" or ".seg-NNNNNN.xqc". Every file is
+// written crash-safely (temp file, fsync, rename). A set's members go to
+// files the manifest currently at path does not name and the manifest
+// is swapped in last, so a crash at any point leaves the previous
+// generation openable and never a mix of two.
 func (db *Database) SaveFile(path string) error {
-	if db.segs != nil {
-		return db.segs.Save(path)
-	}
 	if db.set != nil {
-		return db.set.Save(path)
+		_, err := db.set.Save(path)
+		return err
 	}
 	return db.store.SaveFile(path)
 }
@@ -642,9 +570,9 @@ func (db *Database) Explain(q string) (string, error) {
 	}
 	var head string
 	if len(set.Stores) == 1 {
-		head = fmt.Sprintf("single %s; evaluate directly\n", set.Member())
+		head = fmt.Sprintf("single %s; evaluate directly\n", set.Man.Kind)
 	} else if dec := shard.Analyze(expr, set); dec.Scatter {
-		head = fmt.Sprintf("scatter across %d %ss, merge by document order\n", len(set.Stores), set.Member())
+		head = fmt.Sprintf("scatter across %d %ss, merge by document order\n", len(set.Stores), set.Man.Kind)
 	} else {
 		head = fmt.Sprintf("no scatter (%s); evaluate on fused store\n", dec.Reason)
 	}
@@ -748,7 +676,7 @@ func (db *Database) StructureBitsPerNode() float64 {
 // per segment).
 func (db *Database) Stats() Stats {
 	if db.set != nil {
-		return aggStats(db.set.Stores, db.set.OriginalSize())
+		return aggStats(db.set.Stores, db.set.Man.OriginalSize)
 	}
 	return storeStats(db.store, db.store.OriginalSize)
 }

@@ -1,7 +1,9 @@
 package xquec_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -443,59 +445,210 @@ func TestSegmentQueriesCounted(t *testing.T) {
 	}
 }
 
-// TestFailedSaveKeepsPreviousGeneration makes a commit's save fail
-// partway — the next segment file's path is occupied by a directory —
-// and checks that the previous generation survives on disk: the
-// manifest is byte-identical and Open answers as before.
+// TestFailedSaveKeepsPreviousGeneration interrupts a save partway and
+// checks that the previous generation survives on disk.
+//
+// segments: a commit's save fails because the next segment file's path
+// is occupied by a directory; the manifest stays byte-identical and
+// Open answers as before.
+//
+// shards: the disk is left as a crash would leave it after generation
+// B's first member file landed next to generation A's files. The two
+// generations share a dictionary and subtree counts and differ only in
+// their values. Open must answer generation A's results or fail with
+// ErrCorruptRepository — never answer with a mix of the two.
 func TestFailedSaveKeepsPreviousGeneration(t *testing.T) {
-	docs := segDocs(t, 3, 0.01)
-	base, err := xquec.Compress(docs[0], xquec.Options{})
-	if err != nil {
-		t.Fatal(err)
+	t.Run("segments", func(t *testing.T) {
+		docs := segDocs(t, 3, 0.01)
+		base, err := xquec.Compress(docs[0], xquec.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := xquec.NewWriter(base, xquec.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		path := filepath.Join(dir, "repo.xqcg")
+		w.BindFile(path)
+		if err := w.Append(docs[1]); err != nil {
+			t.Fatal(err)
+		}
+		prev, err := w.Commit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		const q = `FOR $p IN /site/people/person RETURN $p/name/text()`
+		want := execXML(t, prev, q, xquec.QueryOptions{})
+		manifest := readFileT(t, path)
+
+		// The third segment (naming sequence 2) cannot be written.
+		if err := os.Mkdir(filepath.Join(dir, "repo.seg-000002.xqc"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Append(docs[2]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Commit(); err == nil {
+			t.Fatal("commit over an unwritable segment path succeeded")
+		}
+		if got := readFileT(t, path); string(got) != string(manifest) {
+			t.Fatalf("failed save changed the manifest:\n got: %s\nwant: %s", got, manifest)
+		}
+		if w.DB() != prev {
+			t.Fatal("failed commit published a new handle")
+		}
+		re, err := xquec.Open(path)
+		if err != nil {
+			t.Fatalf("reopen after failed save: %v", err)
+		}
+		if re.Segments() != 2 {
+			t.Fatalf("reopened Segments() = %d, want 2", re.Segments())
+		}
+		if got := execXML(t, re, q, xquec.QueryOptions{}); got != want {
+			t.Fatalf("reopened answers differ from the previous generation")
+		}
+	})
+
+	t.Run("shards", func(t *testing.T) {
+		docA := segDocs(t, 1, 0.01)[0]
+		docB := bytes.ReplaceAll(docA, []byte("<name>"), []byte("<name>B "))
+		const q = `FOR $p IN /site/people/person RETURN $p/name/text()`
+		dir := t.TempDir()
+		path := filepath.Join(dir, "r.xqcs")
+		// save persists a 2-shard set of doc at path and returns its
+		// answer to q and the directory's files afterwards.
+		save := func(doc []byte) (string, map[string][]byte) {
+			db, err := xquec.Compress(doc, xquec.Options{Shards: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.SaveFile(path); err != nil {
+				t.Fatal(err)
+			}
+			files := map[string][]byte{}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				files[e.Name()] = readFileT(t, filepath.Join(dir, e.Name()))
+			}
+			return execXML(t, db, q, xquec.QueryOptions{}), files
+		}
+		wantA, genA := save(docA)
+		wantB, genB := save(docB)
+		if wantA == wantB {
+			t.Fatal("the two generations answer alike; the input cannot detect a mix")
+		}
+
+		// B's saves write member files in member order, so the first
+		// member file B created or changed is the one that landed.
+		var landed string
+		for name, data := range genB {
+			if name != "r.xqcs" && !bytes.Equal(data, genA[name]) && (landed == "" || name < landed) {
+				landed = name
+			}
+		}
+		crashed := t.TempDir()
+		for name, data := range genA {
+			writeFileT(t, filepath.Join(crashed, name), data)
+		}
+		writeFileT(t, filepath.Join(crashed, landed), genB[landed])
+
+		re, err := xquec.Open(filepath.Join(crashed, "r.xqcs"))
+		if err != nil {
+			if !errors.Is(err, xquec.ErrCorruptRepository) {
+				t.Fatalf("open after interrupted save: %v, want generation A or ErrCorruptRepository", err)
+			}
+			return
+		}
+		if got := execXML(t, re, q, xquec.QueryOptions{}); got != wantA {
+			t.Fatalf("open after interrupted save answered neither generation A nor an error:\n got %.300q\nwant %.300q", got, wantA)
+		}
+	})
+}
+
+// TestLegacyManifestsOpen pins the manifest formats written before
+// shard and segment sets shared one manifest: an xqcs1 shard-set and an
+// xqcg1 segment-set manifest, each with exactly the field set those
+// formats had, written next to freshly saved members, must open and
+// answer byte-identically to the in-memory database.
+func TestLegacyManifestsOpen(t *testing.T) {
+	type xqcs1 struct {
+		Format         string   `json:"format"`
+		Shards         []string `json:"shards"`
+		PartitionLevel int      `json:"partition_level"`
+		Routing        string   `json:"routing"`
+		Subtrees       int      `json:"subtrees"`
+		SubtreeCounts  []int    `json:"subtree_counts"`
+		DictHash       string   `json:"dict_hash"`
+		OriginalSize   int      `json:"original_size"`
 	}
-	w, err := xquec.NewWriter(base, xquec.Options{})
-	if err != nil {
-		t.Fatal(err)
+	type xqcg1 struct {
+		Format        string   `json:"format"`
+		RootTag       string   `json:"root_tag"`
+		Segments      []string `json:"segments"`
+		DictHashes    []string `json:"dict_hashes"`
+		OriginalSizes []int    `json:"original_sizes"`
+		Generation    int      `json:"generation"`
+		Sequence      int      `json:"sequence"`
 	}
 	dir := t.TempDir()
-	path := filepath.Join(dir, "repo.xqcg")
-	w.BindFile(path)
-	if err := w.Append(docs[1]); err != nil {
-		t.Fatal(err)
-	}
-	prev, err := w.Commit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	const q = `FOR $p IN /site/people/person RETURN $p/name/text()`
-	want := execXML(t, prev, q, xquec.QueryOptions{})
-	manifest := readFileT(t, path)
+	docs := segDocs(t, 3, 0.01)
 
-	// The third segment (naming sequence 2) cannot be written.
-	if err := os.Mkdir(filepath.Join(dir, "repo.seg-000002.xqc"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append(docs[2]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Commit(); err == nil {
-		t.Fatal("commit over an unwritable segment path succeeded")
-	}
-	if got := readFileT(t, path); string(got) != string(manifest) {
-		t.Fatalf("failed save changed the manifest:\n got: %s\nwant: %s", got, manifest)
-	}
-	if w.DB() != prev {
-		t.Fatal("failed commit published a new handle")
-	}
-	re, err := xquec.Open(path)
+	sharded, err := xquec.Compress(docs[0], xquec.Options{Shards: 3})
 	if err != nil {
-		t.Fatalf("reopen after failed save: %v", err)
+		t.Fatal(err)
 	}
-	if re.Segments() != 2 {
-		t.Fatalf("reopened Segments() = %d, want 2", re.Segments())
+	if err := sharded.SaveFile(filepath.Join(dir, "s.xqcs")); err != nil {
+		t.Fatal(err)
 	}
-	if got := execXML(t, re, q, xquec.QueryOptions{}); got != want {
-		t.Fatalf("reopened answers differ from the previous generation")
+	sm, err := shard.ReadManifest(filepath.Join(dir, "s.xqcs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacyShards := xqcs1{"xqcs1", sm.Members, sm.PartitionLevel, sm.Routing, sm.Subtrees, sm.SubtreeCounts, sm.DictHashes[0], sm.OriginalSize}
+
+	segmented := segmentedDB(t, docs)
+	if err := segmented.SaveFile(filepath.Join(dir, "g.xqcg")); err != nil {
+		t.Fatal(err)
+	}
+	gm, err := shard.ReadManifest(filepath.Join(dir, "g.xqcg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := []int{len(docs[0]), len(docs[1]), len(docs[2])}
+	legacySegments := xqcg1{"xqcg1", gm.RootTag, gm.Members, gm.DictHashes, sizes, gm.Generation, gm.Sequence}
+
+	queries := append(xmarkq.Queries()[:4], xmarkq.Query{ID: "people", Text: `FOR $p IN /site/people/person RETURN $p/name/text()`})
+	for _, tc := range []struct {
+		path     string
+		manifest any
+		db       *xquec.Database
+	}{
+		{filepath.Join(dir, "legacy.xqcs"), legacyShards, sharded},
+		{filepath.Join(dir, "legacy.xqcg"), legacySegments, segmented},
+	} {
+		data, err := json.MarshalIndent(tc.manifest, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeFileT(t, tc.path, data)
+		re, err := xquec.Open(tc.path)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.path, err)
+		}
+		if re.Sharded() != tc.db.Sharded() || re.Segmented() != tc.db.Segmented() ||
+			re.Shards() != tc.db.Shards() || re.Segments() != tc.db.Segments() ||
+			re.Stats().OriginalBytes != tc.db.Stats().OriginalBytes {
+			t.Fatalf("%s: opened as a different topology: %+v", tc.path, re.Stats())
+		}
+		for _, q := range queries {
+			if got, want := execXML(t, re, q.Text, xquec.QueryOptions{}), execXML(t, tc.db, q.Text, xquec.QueryOptions{}); got != want {
+				t.Errorf("%s %s: answer differs from the in-memory database\n got %.200q\nwant %.200q", tc.path, q.ID, got, want)
+			}
+		}
 	}
 }
 

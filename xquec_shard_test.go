@@ -236,7 +236,7 @@ func compressShards(t *testing.T, doc []byte, n int) *xquec.Database {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "one.xqcs")
-	if err := set.Save(path); err != nil {
+	if _, err := set.Save(path); err != nil {
 		t.Fatal(err)
 	}
 	db, err := xquec.Open(path)
